@@ -27,7 +27,7 @@ import numpy as np
 
 from .bitstrings import check_bits, int_to_bits
 from .digraph import ExplicitDigraph, MultipartiteTournament, is_k_king
-from .limits import DEFAULT_NODE_CAP, CapExceeded
+from .limits import DEFAULT_NODE_CAP, check_node_cap
 
 
 class CircuitParseError(ValueError):
@@ -287,7 +287,7 @@ class SuccinctGraph:
 def table_to_circuit(n: int, edge_fn: Callable[[str, str], bool],
                      node_cap: int = DEFAULT_NODE_CAP) -> SuccinctGraph:
     """Wrap an explicit edge table as a succinct graph (sum of minterms)."""
-    _check_nodes(1 << n, node_cap)
+    check_node_cap(1 << n, node_cap)
     accepted = []
     for x in range(1 << n):
         xs = int_to_bits(x, n)
@@ -310,11 +310,6 @@ def gw_edge(sg: SuccinctGraph, x: str, y: str) -> bool:
     return eval_circuit(sg.circuit, x + y)
 
 
-def _check_nodes(num, node_cap):
-    if num > node_cap:
-        raise CapExceeded(f"{num} nodes exceeds the materialization cap {node_cap}")
-
-
 def _node_bit_matrix(count: int, width: int) -> np.ndarray:
     if width == 0:
         return np.zeros((count, 0), dtype=bool)
@@ -325,7 +320,7 @@ def _node_bit_matrix(count: int, width: int) -> np.ndarray:
 def _gw_edge_matrix(sg: SuccinctGraph, node_cap) -> np.ndarray:
     n = sg.n
     count = 1 << n
-    _check_nodes(count, node_cap)
+    check_node_cap(count, node_cap)
     bits = _node_bit_matrix(count, n)
     out = np.zeros((count, count), dtype=bool)
     # chunk over source nodes to bound the query matrix
@@ -427,7 +422,7 @@ def jt_materialize(jc: JTournamentCircuit,
     """Explicit multipartite tournament; parts listed in field order."""
     size = jc.part_size()
     total = jc.j * size
-    _check_nodes(total, node_cap)
+    check_node_cap(total, node_cap)
     g = ExplicitDigraph(total, labels=[f"{i}:{int_to_bits(v, jc.n)}"
                                        for i in range(1, jc.j + 1)
                                        for v in range(size)])
@@ -483,7 +478,7 @@ def jt_table_to_circuit(j: int, n: int,
     ``edge_fn(i, s, i2, s2)`` gives the orientation for the canonical i < i2
     query; the circuit is a sum of minterms over canonical query strings.
     """
-    _check_nodes(j << n, node_cap)
+    check_node_cap(j << n, node_cap)
     size = 1 << n
     accepted = []
     for i in range(1, j):

@@ -156,25 +156,28 @@ class MultipartiteTournament:
 # Kingship
 # ---------------------------------------------------------------------------
 
-def is_k_king(g: ExplicitDigraph, v: int, k: int) -> bool:
-    """True iff every node is reachable from v by a path of length <= k."""
-    if k < 1:
-        raise ValueError("k must be at least 1")
+def reach_within(g: ExplicitDigraph, v: int, k: int) -> np.ndarray:
+    """Boolean mask of the nodes reachable from v by a path of length <= k."""
     g._check_node(v)
     adj = g.adj
-    n = g.num_nodes
-    reach = np.zeros(n, dtype=bool)
+    reach = np.zeros(g.num_nodes, dtype=bool)
     reach[v] = True
     frontier = reach.copy()
     for _ in range(k):
         if reach.all():
-            return True
-        nxt = adj[frontier].any(axis=0) & ~reach
-        if not nxt.any():
             break
-        reach |= nxt
-        frontier = nxt
-    return bool(reach.all())
+        frontier = adj[frontier].any(axis=0) & ~reach
+        if not frontier.any():
+            break
+        reach |= frontier
+    return reach
+
+
+def is_k_king(g: ExplicitDigraph, v: int, k: int) -> bool:
+    """True iff every node is reachable from v by a path of length <= k."""
+    if k < 1:
+        raise ValueError("k must be at least 1")
+    return bool(reach_within(g, v, k).all())
 
 
 def all_k_kings(g: ExplicitDigraph, k: int) -> Set[int]:

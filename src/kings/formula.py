@@ -140,6 +140,10 @@ class TruthTable:
 _VARS_PREFIX = re.compile(r"\s*vars\s*=\s*(\d+)\s*:")
 _VAR_TOKEN = re.compile(r"[xy]\d+")
 
+# The parser recurses once per '!' and three times per '('; this bound keeps
+# it well inside the interpreter's recursion limit.
+_MAX_NESTING = 100
+
 
 class _Parser:
     def __init__(self, text: str, base: int, num_universal):
@@ -148,6 +152,7 @@ class _Parser:
         self.pos = 0
         self.num_universal = num_universal
         self.max_index = 0
+        self.depth = 0  # '!' and '(' currently open
 
     def error(self, message, at=None):
         where = self.pos if at is None else at
@@ -184,15 +189,19 @@ class _Parser:
 
     def parse_atom(self) -> Node:
         c = self.peek()
-        if c == "!":
+        if c in ("!", "("):
+            if self.depth == _MAX_NESTING:
+                self.error(f"'!' and '(' nest deeper than {_MAX_NESTING}")
+            self.depth += 1
             self.pos += 1
-            return Not(self.parse_atom())
-        if c == "(":
-            self.pos += 1
-            node = self.parse_or()
-            if self.peek() != ")":
-                self.error("expected ')'")
-            self.pos += 1
+            if c == "!":
+                node = Not(self.parse_atom())
+            else:
+                node = self.parse_or()
+                if self.peek() != ")":
+                    self.error("expected ')'")
+                self.pos += 1
+            self.depth -= 1
             return node
         if c in ("x", "y"):
             m = _VAR_TOKEN.match(self.text, self.pos)
@@ -255,17 +264,37 @@ def eval_formula(phi: PropFormula, assignment: str) -> bool:
 
 
 def _eval(node, a) -> bool:
-    if isinstance(node, Var):
-        return a[node.index - 1] == "1"
-    if isinstance(node, Not):
-        return not _eval(node.child, a)
-    if isinstance(node, And):
-        return _eval(node.left, a) and _eval(node.right, a)
-    if isinstance(node, Or):
-        return _eval(node.left, a) or _eval(node.right, a)
-    if isinstance(node, Const):
-        return node.value
-    raise TypeError(f"not a formula node: {node!r}")
+    # Explicit stack, so deep left-nested chains such as x1&x1&...&x1 cannot
+    # overflow the interpreter stack.  And/Or short-circuit: when the left
+    # value does not decide, the operator's value is its right child's.
+    pending = []  # Not nodes, and And/Or nodes whose left child is being evaluated
+    while True:
+        while True:
+            t = type(node)
+            if t is Var:
+                val = a[node.index - 1] == "1"
+                break
+            if t is And or t is Or:
+                pending.append(node)
+                node = node.left
+            elif t is Not:
+                pending.append(node)
+                node = node.child
+            elif t is Const:
+                val = node.value
+                break
+            else:
+                raise TypeError(f"not a formula node: {node!r}")
+        while pending:
+            op = pending.pop()
+            t = type(op)
+            if t is Not:
+                val = not val
+            elif val == (t is And):
+                node = op.right
+                break
+        else:
+            return val
 
 
 def _check_var_cap(num_vars, var_cap):

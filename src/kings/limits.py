@@ -22,3 +22,9 @@ DEFAULT_TRIPLE_BUDGET = 1 << 21
 
 class CapExceeded(RuntimeError):
     """Raised when an operation would exceed its configured desk-scale cap."""
+
+
+def check_node_cap(count: int, node_cap: int) -> None:
+    """Refuse to materialize more than ``node_cap`` nodes."""
+    if count > node_cap:
+        raise CapExceeded(f"{count} nodes exceeds the materialization cap {node_cap}")

@@ -40,6 +40,7 @@ from .digraph import (
     is_k_king,
     recognize_jpartite_direct,
     recognize_jpartite_patterns,
+    reach_within,
 )
 from .formula import (
     CodecError,
@@ -60,7 +61,7 @@ from .generators import (
     random_jtournament_circuit,
     random_multipartite_tournament,
 )
-from .limits import DEFAULT_NODE_CAP, CapExceeded
+from .limits import DEFAULT_NODE_CAP, CapExceeded, check_node_cap
 from .pairing import Pairing, pair
 from .specifier import (
     ANTENNA,
@@ -213,8 +214,7 @@ def build_gw_antenna_instance(phi: ForallExistsFormula, k: int,
     total = base + chain
     t = _pad_exponent(total)
     size = 1 << t
-    if size > node_cap:
-        raise CapExceeded(f"{size} nodes exceeds the cap {node_cap}")
+    check_node_cap(size, node_cap)
     adj = np.zeros((size, size), dtype=bool)
     adj[:base, :base] = base_graph.adj
     last = base + chain - 1  # only meaningful when chain > 0
@@ -249,8 +249,7 @@ def reduce_taut_to_1king_gw(phi: PropFormula,
     total = 1 + certs
     t = _pad_exponent(total)
     size = 1 << t
-    if size > node_cap:
-        raise CapExceeded(f"{size} nodes exceeds the cap {node_cap}")
+    check_node_cap(size, node_cap)
     adj = np.zeros((size, size), dtype=bool)
     for a in range(certs):
         if table[a] == "1":
@@ -626,34 +625,14 @@ def _suite_weave_kkings(report, seed, sample, k=3, m=13):
         report.check("reach-audit", _audit_kkings_reach(spec, g, node, enc, k),
                      f"entry={idx}")
     # the k=2 family is the pi2 family, pair for pair
-    kk2 = kkings_specifier(2, TTFECodec())
-    p2 = pi2_specifier()
-    mismatch = 0
-    names = [int_to_bits(x, 12) for x in range(1 << 12)]
-    infos2 = [kk2.classify(z) for z in names]
-    infosp = [p2.classify(z) for z in names]
-    for i in range(len(names)):
-        x = names[i]
-        for j in range(i + 1, len(names)):
-            y = names[j]
-            a = kk2._winner(x, infos2[i], y, infos2[j])
-            b = p2._winner(x, infosp[i], y, infosp[j])
-            if a != b:
-                mismatch += 1
+    kk2 = induced_graph(kkings_specifier(2, TTFECodec()), 12)
+    mismatch = int((kk2.adj != induced_graph(pi2_specifier(), 12).adj).sum()) // 2
     report.check("k2-degenerates-to-pi2", mismatch == 0, f"mismatches={mismatch}")
 
 
 def _audit_kkings_reach(spec, g, node, enc, k):
     """Nodes reached within k-2 steps must fall in the four allowed kinds."""
-    n_nodes = g.num_nodes
-    reach = np.zeros(n_nodes, dtype=bool)
-    reach[node] = True
-    frontier = reach.copy()
-    for _ in range(k - 2):
-        nxt = g.adj[frontier].any(axis=0) & ~reach
-        reach |= nxt
-        frontier = nxt
-    for idx in np.flatnonzero(reach):
+    for idx in np.flatnonzero(reach_within(g, node, k - 2)):
         info = spec.classify(g.label_of(int(idx)))
         if info.cls == OTHER:
             continue

@@ -21,15 +21,18 @@ king" node in the king set tracks a formula property:
 
 Node classification is total: every string of every length falls in
 exactly one class (all-zeros, marker, member, antenna, special, or
-leftover "other").  The pairwise selection rule is a first-match walk
-down an ordered guard list over those classes; a validation mode checks
-exhaustively that exactly one guard matches each pair, which is what
-makes the rule well defined, commutative and selecting.
+leftover "other").  The pairwise selection rule is one ordered table,
+``GUARDS``, with one row per guard: winner classes, loser classes and an
+optional condition.  ``select`` takes the first row that fires on a pair;
+``validate_specifier`` counts every row that fires and reports pairs with
+none (gaps) or several (overlaps).  No gap and no overlap at any length is
+what makes the rule well defined, commutative and selecting.
 """
 
 from __future__ import annotations
 
 import random
+from itertools import combinations_with_replacement
 from dataclasses import dataclass, field
 from typing import List, Optional
 
@@ -52,6 +55,7 @@ from .limits import (
     DEFAULT_TRIPLE_BUDGET,
     DEFAULT_VAR_CAP,
     CapExceeded,
+    check_node_cap,
 )
 from .pairing import Pairing, unpair
 
@@ -86,11 +90,6 @@ _ZERO_INFO = _Info(ZERO)
 _OTHER_INFO = _Info(OTHER)
 _SA_INFO = _Info(SPECIAL_A)
 _SB_INFO = _Info(SPECIAL_B)
-
-_GUARD_ORDER = {t: i for i, t in enumerate(
-    ["g1", "sa+", "sa-", "sb+", "g2", "g3", "g4", "g5", "g6", "g7", "g8",
-     "g9", "g10", "g11", "g12", "g13", "g14", "g15", "g16", "g17"])}
-
 
 @dataclass(frozen=True)
 class NodeClass:
@@ -178,8 +177,7 @@ def build_subtournament(kind: str, phi, var_cap: int = DEFAULT_VAR_CAP,
         n = phi.num_vars
         table = truth_table_of(phi, var_cap).bits
     suffixes = sorted(_MEMBER_SUFFIX_BUILDERS[style](n))
-    if len(suffixes) > node_cap:
-        raise CapExceeded(f"{len(suffixes)} nodes exceeds the cap {node_cap}")
+    check_node_cap(len(suffixes), node_cap)
     g = ExplicitDigraph(len(suffixes), labels=suffixes)
     for i, w in enumerate(suffixes):
         for j in range(i + 1, len(suffixes)):
@@ -188,6 +186,70 @@ def build_subtournament(kind: str, phi, var_cap: int = DEFAULT_VAR_CAP,
             else:
                 g.add_edge(j, i)
     return g
+
+
+# ---------------------------------------------------------------------------
+# Selection rule of the weaves
+# ---------------------------------------------------------------------------
+
+def _chain_step(s, z, iz, w, iw):
+    """z is the antenna one step closer to w's end of the same chain."""
+    if iw.cls == MEMBER:
+        return iw.pk and iw.phi == iz.phi and iz.level == 1
+    return iw.phi == iz.phi and iw.level == iz.level - 1
+
+
+# (name, winner classes, loser classes, condition or None).  A row fires on
+# an ordered pair (z, w) of distinct same-length strings when z's class is a
+# winner class, w's class a loser class and condition(spec, z, iz, w, iw)
+# holds; z then wins.  Every row is tried in both orientations.
+GUARDS = (
+    # special nodes of the sat weave
+    ("sa+", (SPECIAL_A,), (SPECIAL_B, OTHER, MARKER), None),
+    ("sa-", (ZERO, MEMBER, ANTENNA), (SPECIAL_A,), None),
+    ("sb+", (SPECIAL_B,), (ZERO, MARKER, MEMBER, ANTENNA, OTHER), None),
+    # the all-zeros string
+    ("g2", (ZERO,), (MARKER,), None),
+    ("g3", (ZERO,), (ANTENNA, OTHER), None),
+    # markers: lower formula first, and each marker beats its own members
+    ("g4", (MARKER,), (MARKER,), lambda s, z, iz, w, iw: iz.phi < iw.phi),
+    ("g5", (MARKER,), (MEMBER,), lambda s, z, iz, w, iw: iz.phi == iw.phi),
+    ("g6", (MARKER,), (ANTENNA, OTHER), None),
+    # members: the subtournament edge within a formula, else lower formula
+    ("g7", (MEMBER,), (ZERO, OTHER), None),
+    ("g8", (MEMBER,), (MARKER,), lambda s, z, iz, w, iw: iz.phi != iw.phi),
+    ("g9", (MEMBER,), (MEMBER,), lambda s, z, iz, w, iw: iz.phi == iw.phi
+     and edge_within_family(s.style, iz.table, iz.n, iz.suffix, iw.suffix)),
+    ("g10", (MEMBER,), (MEMBER,), lambda s, z, iz, w, iw: iz.phi < iw.phi),
+    ("g11", (MEMBER,), (ANTENNA,), lambda s, z, iz, w, iw: not iz.pk),
+    ("g12", (MEMBER,), (ANTENNA,), lambda s, z, iz, w, iw: iz.pk
+     and not (iw.phi == iz.phi and iw.level == 1)),
+    # antennas: adjacent chain steps point toward the potential king; all
+    # other antenna pairs point toward the lower level, then lower formula
+    ("g13", (ANTENNA,), (MEMBER, ANTENNA), _chain_step),
+    ("g14", (ANTENNA,), (ANTENNA,), lambda s, z, iz, w, iw: iz.level == iw.level
+     and iz.phi < iw.phi),
+    ("g15", (ANTENNA,), (ANTENNA,), lambda s, z, iz, w, iw: iz.level < iw.level
+     and not (iz.phi == iw.phi and iw.level == iz.level + 1)),
+    ("g16", (ANTENNA,), (OTHER,), None),
+    # leftovers: lexicographically smaller wins
+    ("g17", (OTHER,), (OTHER,), lambda s, z, iz, w, iw: z < w),
+)
+
+
+def _build_dispatch():
+    """cell [cx][cy]: the rows that can fire on (x, y), in table order, as
+    (name, condition, x_wins); each row appears once per orientation."""
+    cells = [[[] for _ in range(7)] for _ in range(7)]
+    for name, winners, losers, cond in GUARDS:
+        for cz in winners:
+            for cw in losers:
+                cells[cz][cw].append((name, cond, True))
+                cells[cw][cz].append((name, cond, False))
+    return tuple(tuple(map(tuple, row)) for row in cells)
+
+
+_DISPATCH = _build_dispatch()
 
 
 # ---------------------------------------------------------------------------
@@ -336,140 +398,21 @@ class WeaveSpecifier(TournamentFamilySpecifier):
             return x
         return self._winner(x, self.classify(x), y, self.classify(y))
 
-    def _edge_within(self, iz, iw):
-        return edge_within_family(self.style, iz.table, iz.n, iz.suffix, iw.suffix)
-
     def _winner(self, x, ix, y, iy):
-        """First-match walk down the guard list (both orientations per guard)."""
-        cx = ix.cls
-        cy = iy.cls
-        # special-node rules of the sat weave; total on their pairs
-        if cx == SPECIAL_A:
-            return x if cy in (SPECIAL_B, OTHER, MARKER) else y
-        if cy == SPECIAL_A:
-            return y if cx in (SPECIAL_B, OTHER, MARKER) else x
-        if cx == SPECIAL_B:
-            return x
-        if cy == SPECIAL_B:
-            return y
-        # all-zeros beats markers, antennas and leftovers
-        if cx == ZERO:
-            return x if cy in (MARKER, ANTENNA, OTHER) else y
-        if cy == ZERO:
-            return y if cx in (MARKER, ANTENNA, OTHER) else x
-        if cx == MARKER:
-            if cy == MARKER:
-                return x if ix.phi < iy.phi else y
-            if cy == MEMBER:
-                return x if ix.phi == iy.phi else y
-            return x  # antennas and leftovers
-        if cy == MARKER:
-            if cx == MEMBER:
-                return y if iy.phi == ix.phi else x
-            return y
-        if cx == MEMBER:
-            if cy == MEMBER:
-                if ix.phi == iy.phi:
-                    return x if self._edge_within(ix, iy) else y
-                return x if ix.phi < iy.phi else y
-            if cy == ANTENNA:
-                if ix.pk and iy.phi == ix.phi and iy.level == 1:
-                    return y  # the chain end points at its potential king
-                return x
-            return x  # leftovers
-        if cy == MEMBER:
-            if cx == ANTENNA:
-                if iy.pk and ix.phi == iy.phi and ix.level == 1:
+        """The first guard row that fires on the pair decides it."""
+        for _, cond, x_wins in _DISPATCH[ix.cls][iy.cls]:
+            if x_wins:
+                if cond is None or cond(self, x, ix, y, iy):
                     return x
+            elif cond is None or cond(self, y, iy, x, ix):
                 return y
-            return y
-        if cx == ANTENNA:
-            if cy == ANTENNA:
-                if ix.phi == iy.phi:
-                    # adjacent chain steps point toward the potential king;
-                    # everything else points back toward the chain head
-                    if ix.level == iy.level + 1:
-                        return x
-                    if iy.level == ix.level + 1:
-                        return y
-                    return x if ix.level < iy.level else y
-                if ix.level == iy.level:
-                    return x if ix.phi < iy.phi else y
-                return x if ix.level < iy.level else y
-            return x  # leftovers
-        if cy == ANTENNA:
-            return y
-        # both leftovers: lexicographically smaller wins
-        if x < y:
-            return x
-        return y
+        raise RuntimeError(f"no guard decides {x} against {y}")
 
-    # -- guard audit ---------------------------------------------------------
-
-    def _audit_pair(self, x, ix, y, iy):
-        """Winner plus every matching guard, evaluated independently.
-
-        Tags are (guard, orientation) pairs; a well-formed construction has
-        exactly one match per distinct pair, which is what validation checks.
-        """
-        if x == y:
-            return x, [("g1", "=")]
-        matches = []
-        for z, iz, w, iw, side in ((x, ix, y, iy, ">"), (y, iy, x, ix, "<")):
-            cz = iz.cls
-            cw = iw.cls
-            if cz == SPECIAL_A and cw in (SPECIAL_B, OTHER, MARKER):
-                matches.append(("sa+", side))
-            if cw == SPECIAL_A and cz not in (SPECIAL_A, SPECIAL_B, OTHER, MARKER):
-                matches.append(("sa-", side))
-            if cz == SPECIAL_B and cw not in (SPECIAL_A, SPECIAL_B):
-                matches.append(("sb+", side))
-            if cz == ZERO and cw == MARKER:
-                matches.append(("g2", side))
-            if cz == ZERO and cw in (ANTENNA, OTHER):
-                matches.append(("g3", side))
-            if cz == MARKER and cw == MARKER and iz.phi < iw.phi:
-                matches.append(("g4", side))
-            if cz == MARKER and cw == MEMBER and iz.phi == iw.phi:
-                matches.append(("g5", side))
-            if cz == MARKER and cw in (ANTENNA, OTHER):
-                matches.append(("g6", side))
-            if cz == MEMBER and cw in (ZERO, OTHER):
-                matches.append(("g7", side))
-            if cz == MEMBER and cw == MARKER and iz.phi != iw.phi:
-                matches.append(("g8", side))
-            if cz == MEMBER and cw == MEMBER and iz.phi == iw.phi \
-                    and self._edge_within(iz, iw):
-                matches.append(("g9", side))
-            if cz == MEMBER and cw == MEMBER and iz.phi != iw.phi \
-                    and iz.phi < iw.phi:
-                matches.append(("g10", side))
-            if cz == MEMBER and not iz.pk and cw == ANTENNA:
-                matches.append(("g11", side))
-            if cz == MEMBER and iz.pk and cw == ANTENNA \
-                    and not (iw.phi == iz.phi and iw.level == 1):
-                matches.append(("g12", side))
-            if cz == ANTENNA:
-                down_is_pk = (cw == MEMBER and iw.pk and iw.phi == iz.phi
-                              and iz.level == 1)
-                down_is_antenna = (cw == ANTENNA and iw.phi == iz.phi
-                                   and iw.level == iz.level - 1)
-                if down_is_pk or down_is_antenna:
-                    matches.append(("g13", side))
-            if cz == ANTENNA and cw == ANTENNA and iz.level == iw.level \
-                    and iz.phi < iw.phi:
-                matches.append(("g14", side))
-            if cz == ANTENNA and cw == ANTENNA and iz.level < iw.level:
-                matches.append(("g15", side))
-            if cz == ANTENNA and cw == OTHER:
-                matches.append(("g16", side))
-            if cz == OTHER and cw == OTHER and z < w:
-                matches.append(("g17", side))
-        if not matches:
-            return (x if x <= y else y), matches
-        # when several guards fire, list order decides, matching the walk
-        best = min(matches, key=lambda t: _GUARD_ORDER[t[0]])
-        return (x if best[1] == ">" else y), matches
+    def _guards_firing(self, x, ix, y, iy):
+        """Every guard row that fires on the pair, in table order."""
+        return [name for name, cond, x_wins in _DISPATCH[ix.cls][iy.cls]
+                if cond is None or (cond(self, x, ix, y, iy) if x_wins
+                                    else cond(self, y, iy, x, ix))]
 
 
 # ---------------------------------------------------------------------------
@@ -550,15 +493,10 @@ def select(spec: TournamentFamilySpecifier, x: str, y: str) -> str:
 # Induced graphs and kingship
 # ---------------------------------------------------------------------------
 
-def _check_node_cap(count, node_cap):
-    if count > node_cap:
-        raise CapExceeded(f"{count} nodes exceeds the materialization cap {node_cap}")
-
-
 def induced_graph(spec, m: int, node_cap: int = DEFAULT_NODE_CAP) -> ExplicitDigraph:
     """Materialize the length-m member of the family, labels = bit-strings."""
     count = 1 << m
-    _check_node_cap(count, node_cap)
+    check_node_cap(count, node_cap)
     names = [int_to_bits(v, m) for v in range(count)]
     if isinstance(spec, GraphFamilySpecifier):
         g = ExplicitDigraph(count, labels=names)
@@ -599,44 +537,37 @@ def specifier_k_king(spec: TournamentFamilySpecifier, z: str, k: int,
                      node_cap: int = DEFAULT_NODE_CAP) -> bool:
     """Is z a k-king of the induced tournament at its own length?
 
-    The k = 2 path avoids materialization: it collects the out-neighborhood
-    with 2**m select calls and then sweeps the non-neighbors.  Other k run a
-    breadth-first search on demand, also via select calls only.
+    A breadth-first search on demand, via select calls only: step i finds
+    the strings first reached in i steps, and the last step stops at the
+    first string it cannot reach.
     """
     check_bits(z)
     if k < 1:
         raise ValueError("k must be at least 1")
     m = len(z)
-    _check_node_cap(1 << m, node_cap)
+    check_node_cap(1 << m, node_cap)
     sel = spec.select
-    if k == 2:
-        nplus = [w for w in all_bits(m) if w != z and sel(z, w) == z]
-        if len(nplus) == (1 << m) - 1:
-            return True
-        nset = set(nplus)
-        for w in all_bits(m):
-            if w == z or w in nset:
-                continue
-            if not any(sel(u, w) == u for u in nplus):
-                return False
-        return True
     frontier = [z]
     unreached = [w for w in all_bits(m) if w != z]
-    for _ in range(k):
+    for steps_left in range(k, 0, -1):
         if not unreached:
             return True
         new = []
         still = []
         for w in unreached:
-            if any(sel(u, w) == u for u in frontier):
-                new.append(w)
+            for u in frontier:
+                if sel(u, w) == u:
+                    new.append(w)
+                    break
             else:
+                if steps_left == 1:
+                    return False
                 still.append(w)
         if not new:
             return False
         frontier = new
         unreached = still
-    return not unreached
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -691,42 +622,32 @@ def validate_specifier(spec, m: int, sample: Optional[int] = None, seed: int = 0
         total_pairs = count * (count - 1) // 2
         if total_pairs > pair_budget:
             raise CapExceeded(f"{total_pairs} pairs exceeds the budget {pair_budget}")
-        pair_iter = _all_pairs(m)
+        pair_iter = combinations_with_replacement(
+            [int_to_bits(v, m) for v in range(count)], 2)
     else:
         pair_iter = ((int_to_bits(rng.randrange(count), m),
                       int_to_bits(rng.randrange(count), m)) for _ in range(sample))
 
     if isinstance(spec, WeaveSpecifier):
-        audit = spec._audit_pair
+        fired = spec._guards_firing
         classify = spec.classify
         for x, y in pair_iter:
             report.pairs_checked += 1
-            winner, matches = audit(x, classify(x), y, classify(y))
             if x == y:
                 continue
+            matches = fired(x, classify(x), y, classify(y))
             if len(matches) == 0 and len(report.guard_gaps) < _WITNESS_CAP:
                 report.guard_gaps.append((x, y))
             elif len(matches) > 1 and len(report.guard_overlaps) < _WITNESS_CAP:
-                report.guard_overlaps.append((x, y, tuple(t for t, _ in matches)))
+                report.guard_overlaps.append((x, y, tuple(matches)))
         # spot-check the public select against itself on both orders
         for _ in range(min(2000, count * 4)):
-            x = int_to_bits(rng.randrange(count), m)
-            y = int_to_bits(rng.randrange(count), m)
-            a = spec.select(x, y)
-            b = spec.select(y, x)
-            if a != b and len(report.commutativity_violations) < _WITNESS_CAP:
-                report.commutativity_violations.append((x, y, a, b))
-            if a not in (x, y) and len(report.selection_violations) < _WITNESS_CAP:
-                report.selection_violations.append((x, y, a))
+            _check_select(report, spec, int_to_bits(rng.randrange(count), m),
+                          int_to_bits(rng.randrange(count), m))
     else:
         for x, y in pair_iter:
             report.pairs_checked += 1
-            a = spec.select(x, y)
-            b = spec.select(y, x)
-            if a != b and len(report.commutativity_violations) < _WITNESS_CAP:
-                report.commutativity_violations.append((x, y, a, b))
-            if a not in (x, y) and len(report.selection_violations) < _WITNESS_CAP:
-                report.selection_violations.append((x, y, a))
+            _check_select(report, spec, x, y)
 
     if spec.has_cross_length_rule and m >= 2:
         for _ in range(256):
@@ -741,11 +662,14 @@ def validate_specifier(spec, m: int, sample: Optional[int] = None, seed: int = 0
     return report
 
 
-def _all_pairs(m):
-    names = [int_to_bits(v, m) for v in range(1 << m)]
-    for i, x in enumerate(names):
-        for j in range(i, len(names)):
-            yield x, names[j]
+def _check_select(report, spec, x, y):
+    """Record (x, y) if select is not commutative or not selecting on it."""
+    a = spec.select(x, y)
+    b = spec.select(y, x)
+    if a != b and len(report.commutativity_violations) < _WITNESS_CAP:
+        report.commutativity_violations.append((x, y, a, b))
+    if a not in (x, y) and len(report.selection_violations) < _WITNESS_CAP:
+        report.selection_violations.append((x, y, a))
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import pytest
+
 from kings.cli import main
 from kings.digraph import format_graph_text, parse_graph_text
 
@@ -96,6 +98,16 @@ def test_reduce(capsys):
     assert code == 0 and "model gw n=3" in out
     code, _, _ = run(capsys, "reduce", "--kind", "frob", "--formula", "x1")
     assert code == 2
+
+
+@pytest.mark.parametrize("kind", ["conp", "onekings"])
+def test_reduce_deeply_nested_formulas_do_not_crash(capsys, kind):
+    # the conp reduction maps unparsable input to its fixed non-king node
+    # (exit 0); onekings reports the syntax error (exit 2)
+    for formula in ("!" * 3000 + "x1", "(" * 3000 + "x1" + ")" * 3000,
+                    "&".join(["x1"] * 3000)):
+        code, _, err = run(capsys, "reduce", "--kind", kind, "--formula", formula)
+        assert code in (0, 2) and "Traceback" not in err
 
 
 def test_verify(capsys):

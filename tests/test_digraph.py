@@ -13,6 +13,7 @@ from kings.digraph import (
     format_graph_text,
     is_k_king,
     parse_graph_text,
+    reach_within,
     recognize_jpartite_direct,
     recognize_jpartite_patterns,
     underlying_graph,
@@ -47,6 +48,14 @@ def test_is_k_king_rejects_bad_arguments():
         is_k_king(cycle3(), 0, 0)
     with pytest.raises(ValueError):
         is_k_king(cycle3(), 7, 2)
+
+
+def test_reach_within_masks():
+    assert reach_within(cycle3(), 0, 0).tolist() == [True, False, False]
+    assert reach_within(cycle3(), 0, 1).tolist() == [True, True, False]
+    assert reach_within(transitive3(), 1, 5).tolist() == [False, True, True]
+    with pytest.raises(ValueError):
+        reach_within(cycle3(), 7, 2)
 
 
 def test_all_k_kings_examples():

@@ -96,6 +96,15 @@ def test_parse_input_forms():
 # evaluation
 # ---------------------------------------------------------------------------
 
+def test_formula_nesting_limit():
+    assert eval_formula(parse_formula("!" * 100 + "x1"), "1")
+    with pytest.raises(FormulaSyntaxError):
+        parse_formula("!" * 101 + "x1")
+    with pytest.raises(FormulaSyntaxError):
+        parse_formula("(" * 101 + "x1" + ")" * 101)
+    assert not eval_formula(parse_formula("&".join(["x1"] * 3000) + "&!x1"), "1")
+
+
 def test_eval_examples():
     f = parse_formula("x1 | x2")
     assert not eval_formula(f, "00")

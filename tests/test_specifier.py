@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import numpy as np
@@ -15,6 +16,7 @@ from kings.formula import (
 from kings.limits import CapExceeded
 from kings.pairing import Pairing, pair, unpair
 from kings.specifier import (
+    OTHER,
     FunctionSpecifier,
     build_subtournament,
     check_associativity,
@@ -205,19 +207,61 @@ def test_validate_budget():
         validate_specifier(max_specifier(), 6, pair_budget=10)
 
 
-def test_guard_overlap_reported_for_adjacent_antennas():
-    # two antenna levels of one formula only coexist for k >= 4, where the
-    # guard list genuinely overlaps; selection stays commutative (the chain
-    # step wins) and the audit reports the overlap honestly.
-    spec = kkings_specifier(4, TTFECodec())  # needs n > 2, so length 134
-    enc = "0" * 64
-    a1 = pair(Pairing.V1, enc, "00001")
-    a2 = pair(Pairing.V1, enc, "00011")
+@pytest.mark.parametrize("k", [4, 5])
+def test_guard_table_is_a_partition_for_long_antennas(k):
+    # two antenna levels of one formula only coexist for k >= 4, which needs
+    # n = k - 1 universal variables: lengths 134 (k = 4) and 519 (k = 5), far
+    # beyond exhaustive validation.  Audit every pair among all strings two
+    # formulas pair with, plus the all-zeros string.
+    n = k - 1
+    spec = kkings_specifier(k, TTFECodec())
+    width = 1 << (2 * n)
+    encs = ["0" * width, "01" * (width // 2)]
+    strings = [pair(Pairing.V1, enc, w) for enc in encs for w in all_bits(n + 2)]
+    strings.append("0" * len(strings[0]))
+    views = [classify_node(spec, z) for z in strings]
+    levels = {v.level for v in views if v.category == "antenna"}
+    assert levels == set(range(1, k - 1))
+    overlaps, gaps = [], []
+    for i, x in enumerate(strings):
+        for y in strings[i + 1:]:
+            fired = spec._guards_firing(x, spec.classify(x), y, spec.classify(y))
+            if len(fired) > 1:
+                overlaps.append((x, y, fired))
+            elif not fired:
+                gaps.append((x, y))
+    assert overlaps == [] and gaps == []
+    # selection is unchanged: the chain step toward the potential king wins
+    a1 = pair(Pairing.V1, encs[0], "0" * (n + 1) + "1")
+    a2 = pair(Pairing.V1, encs[0], "0" * n + "11")
     assert classify_node(spec, a1).level == 1
     assert classify_node(spec, a2).level == 2
     assert spec.select(a1, a2) == spec.select(a2, a1) == a2
-    _, matches = spec._audit_pair(a1, spec.classify(a1), a2, spec.classify(a2))
-    assert len(matches) == 2
+
+
+# sha256 over the winner of every same-length pair (i < j in string order)
+# with at least one non-leftover endpoint: b"1" when the first string wins.
+_ADJACENCY_DIGESTS = {
+    ("pi2", 12): "d41ec56cf976a39f6027caecc0ce4161e52327690215af0a0e68e25984d8b519",
+    ("conp", 8): "6229743600ea897ae9dd9603379a57c1d93a6cc57945a367fe72305da431c13f",
+    ("np", 9): "975b7efef0da0d05fa2d1348fbdccb3df43828ecc25cc0614fdc93233de39949",
+    ("kkings:3", 13): "0e0b6834f9ec27f7e9358b718bc65ce42999cca2423076bd384eae0295eebf45",
+}
+
+
+@pytest.mark.parametrize("name,m", sorted(_ADJACENCY_DIGESTS))
+def test_weave_adjacency_is_pinned(name, m):
+    spec = make_builtin_specifier(name)
+    names = [int_to_bits(v, m) for v in range(1 << m)]
+    infos = [spec.classify(z) for z in names]
+    out = bytearray()
+    for i, x in enumerate(names):
+        ix = infos[i]
+        for j in range(i + 1, len(names)):
+            iy = infos[j]
+            if ix.cls != OTHER or iy.cls != OTHER:
+                out.append(49 if spec._winner(x, ix, names[j], iy) is x else 48)
+    assert hashlib.sha256(bytes(out)).hexdigest() == _ADJACENCY_DIGESTS[name, m]
 
 
 # ---------------------------------------------------------------------------
