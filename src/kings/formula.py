@@ -1,10 +1,14 @@
-"""Propositional and forall-exists formulas with brute-force truth oracles.
+"""Propositional and forall-exists formulas, held as their truth tables.
 
 Two formula shapes appear throughout the package: plain propositional
 formulas over variables x1..xn, and balanced quantified formulas (a block
 of n universal variables followed by n existential ones over a 2n-variable
-matrix).  Truth is decided by exhaustive enumeration, deliberately capped
-at desk scale: these oracles exist to check reductions on small instances.
+matrix).  Everything in the package reads a formula only through its truth
+table, so the table is the only form a formula takes: text is parsed into a
+syntax tree, evaluated once on every assignment and dropped, and the truth
+oracles read their answers off the table.  Formulas are capped at desk
+scale: more than ``DEFAULT_VAR_CAP`` variables raise ``CapExceeded`` when a
+formula is built or parsed.
 
 Conventions
 -----------
@@ -26,7 +30,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from importlib import resources
-from typing import Iterator, Optional, Union
+from typing import Optional, Union
 
 from .bitstrings import all_bits, bits_to_int, check_bits, int_to_bits
 from .limits import DEFAULT_VAR_CAP, CapExceeded
@@ -45,7 +49,61 @@ class CodecError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# AST
+# Formulas
+# ---------------------------------------------------------------------------
+
+def _check_arity(num_vars: int) -> None:
+    """Refuse arities below 1 or above the cap, before any 2**n is formed."""
+    if num_vars < 1:
+        raise ValueError("a formula must have at least one variable")
+    if num_vars > DEFAULT_VAR_CAP:
+        raise CapExceeded(
+            f"{num_vars} variables exceeds the formula cap {DEFAULT_VAR_CAP}"
+        )
+
+
+@dataclass(frozen=True)
+class PropFormula:
+    """A propositional formula over x1..x<num_vars>, held as its truth table."""
+
+    num_vars: int
+    bits: str
+
+    def __post_init__(self):
+        _check_arity(self.num_vars)
+        check_bits(self.bits)
+        if len(self.bits) != 1 << self.num_vars:
+            raise ValueError("table length must be 2**num_vars")
+
+
+@dataclass(frozen=True)
+class ForallExistsFormula:
+    """Balanced quantified formula: n universal then n existential variables."""
+
+    n: int
+    matrix: PropFormula
+
+    def __post_init__(self):
+        if self.n < 1:
+            raise ValueError("the universal block must be nonempty")
+        if self.matrix.num_vars != 2 * self.n:
+            raise ValueError(
+                f"matrix has {self.matrix.num_vars} variables, expected {2 * self.n}"
+            )
+
+
+def formula_from_table(arity: int, bits: str) -> PropFormula:
+    """The formula whose truth table is ``bits``."""
+    return PropFormula(arity, bits)
+
+
+def fe_from_table(n: int, bits: str) -> ForallExistsFormula:
+    """The forall-exists formula whose 2n-variable matrix table is ``bits``."""
+    return ForallExistsFormula(n, PropFormula(2 * n, bits))
+
+
+# ---------------------------------------------------------------------------
+# Syntax trees, which live only inside parse_formula
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -70,67 +128,32 @@ class Or:
     right: "Node"
 
 
-@dataclass(frozen=True)
-class Const:
-    value: bool
+Node = Union[Var, Not, And, Or]
 
 
-Node = Union[Var, Not, And, Or, Const]
-
-
-def _walk_vars(node) -> Iterator[int]:
-    stack = [node]
-    while stack:
-        n = stack.pop()
-        if isinstance(n, Var):
-            yield n.index
-        elif isinstance(n, Not):
-            stack.append(n.child)
-        elif isinstance(n, (And, Or)):
-            stack.append(n.left)
-            stack.append(n.right)
-
-
-@dataclass(frozen=True)
-class PropFormula:
-    """A propositional formula together with its declared variable count."""
-
-    root: Node
-    num_vars: int
-
-    def __post_init__(self):
-        if self.num_vars < 1:
-            raise ValueError("a formula must have at least one variable")
-        for idx in _walk_vars(self.root):
-            if not 1 <= idx <= self.num_vars:
-                raise ValueError(f"variable index {idx} out of range 1..{self.num_vars}")
-
-
-@dataclass(frozen=True)
-class ForallExistsFormula:
-    """Balanced quantified formula: n universal then n existential variables."""
-
-    n: int
-    matrix: PropFormula
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("the universal block must be nonempty")
-        if self.matrix.num_vars != 2 * self.n:
-            raise ValueError(
-                f"matrix has {self.matrix.num_vars} variables, expected {2 * self.n}"
-            )
-
-
-@dataclass(frozen=True)
-class TruthTable:
-    arity: int
-    bits: str
-
-    def __post_init__(self):
-        check_bits(self.bits)
-        if len(self.bits) != 1 << self.arity:
-            raise ValueError("bit count must be exactly 2**arity")
+def _eval(node, a) -> bool:
+    # Explicit stack, so deep left-nested chains such as x1&x1&...&x1 cannot
+    # overflow the interpreter stack.  And/Or short-circuit: when the left
+    # value does not decide, the operator's value is its right child's.
+    pending = []  # Not nodes, and And/Or nodes whose left child is being evaluated
+    while True:
+        while True:
+            t = type(node)
+            if t is Var:
+                val = a[node.index - 1] == "1"
+                break
+            pending.append(node)
+            node = node.child if t is Not else node.left
+        while pending:
+            op = pending.pop()
+            t = type(op)
+            if t is Not:
+                val = not val
+            elif val == (t is And):
+                node = op.right
+                break
+        else:
+            return val
 
 
 # ---------------------------------------------------------------------------
@@ -226,8 +249,10 @@ def parse_formula(text: str, num_universal: Optional[int] = None) -> PropFormula
 
     ``y<k>`` is sugar for variable ``num_universal + k`` and is only legal when
     a universal count is supplied (matrix context).  A leading ``vars=<n>:``
-    overrides the inferred variable count.  Raises :class:`FormulaSyntaxError`
-    with the 0-based offset of the first problem.
+    overrides the inferred variable count.  The tree is evaluated on every
+    assignment and dropped; the result is the formula's truth table.  Raises
+    :class:`FormulaSyntaxError` with the 0-based offset of the first problem,
+    and ``CapExceeded`` past the variable cap, before any evaluation.
     """
     override = None
     body = text
@@ -238,19 +263,19 @@ def parse_formula(text: str, num_universal: Optional[int] = None) -> PropFormula
         base = m.end()
         body = text[base:]
     parser = _Parser(body, base, num_universal)
-    root = parser.parse()
-    if parser.max_index == 0 and override is None:
-        raise FormulaSyntaxError("formula mentions no variable", 0)
+    root = parser.parse()  # every parse holds a variable, so max_index >= 1
     num_vars = parser.max_index if override is None else override
     if override is not None and parser.max_index > override:
         raise FormulaSyntaxError(
             f"vars={override} is below the highest index {parser.max_index}", 0
         )
-    return PropFormula(root, num_vars)
+    _check_arity(num_vars)
+    bits = "".join("1" if _eval(root, a) else "0" for a in all_bits(num_vars))
+    return PropFormula(num_vars, bits)
 
 
 # ---------------------------------------------------------------------------
-# Evaluation oracles
+# Truth oracles, read off the table
 # ---------------------------------------------------------------------------
 
 def eval_formula(phi: PropFormula, assignment: str) -> bool:
@@ -260,75 +285,24 @@ def eval_formula(phi: PropFormula, assignment: str) -> bool:
         raise ValueError(
             f"assignment length {len(assignment)} != num_vars {phi.num_vars}"
         )
-    return _eval(phi.root, assignment)
+    return phi.bits[int(assignment, 2)] == "1"
 
 
-def _eval(node, a) -> bool:
-    # Explicit stack, so deep left-nested chains such as x1&x1&...&x1 cannot
-    # overflow the interpreter stack.  And/Or short-circuit: when the left
-    # value does not decide, the operator's value is its right child's.
-    pending = []  # Not nodes, and And/Or nodes whose left child is being evaluated
-    while True:
-        while True:
-            t = type(node)
-            if t is Var:
-                val = a[node.index - 1] == "1"
-                break
-            if t is And or t is Or:
-                pending.append(node)
-                node = node.left
-            elif t is Not:
-                pending.append(node)
-                node = node.child
-            elif t is Const:
-                val = node.value
-                break
-            else:
-                raise TypeError(f"not a formula node: {node!r}")
-        while pending:
-            op = pending.pop()
-            t = type(op)
-            if t is Not:
-                val = not val
-            elif val == (t is And):
-                node = op.right
-                break
-        else:
-            return val
-
-
-def _check_var_cap(num_vars, var_cap):
-    if num_vars > var_cap:
-        raise CapExceeded(
-            f"{num_vars} variables exceeds the enumeration cap {var_cap}"
-        )
-
-
-def eval_forall_exists(phi: ForallExistsFormula, var_cap: int = DEFAULT_VAR_CAP) -> bool:
+def eval_forall_exists(phi: ForallExistsFormula) -> bool:
     """True iff for every x in {0,1}^n some y in {0,1}^n satisfies the matrix."""
-    _check_var_cap(2 * phi.n, var_cap)
-    for x in all_bits(phi.n):
-        if not any(eval_formula(phi.matrix, x + y) for y in all_bits(phi.n)):
-            return False
-    return True
+    return forall_exists_truth(phi.n, phi.matrix.bits)
 
 
-def is_tautology(phi: PropFormula, var_cap: int = DEFAULT_VAR_CAP) -> bool:
-    _check_var_cap(phi.num_vars, var_cap)
-    return all(eval_formula(phi, a) for a in all_bits(phi.num_vars))
+def is_tautology(phi: PropFormula) -> bool:
+    return "0" not in phi.bits
 
 
-def is_satisfiable(phi: PropFormula, var_cap: int = DEFAULT_VAR_CAP) -> bool:
-    _check_var_cap(phi.num_vars, var_cap)
-    return any(eval_formula(phi, a) for a in all_bits(phi.num_vars))
+def is_satisfiable(phi: PropFormula) -> bool:
+    return "1" in phi.bits
 
 
-def truth_table_of(phi: PropFormula, var_cap: int = DEFAULT_VAR_CAP) -> TruthTable:
-    _check_var_cap(phi.num_vars, var_cap)
-    bits = "".join(
-        "1" if eval_formula(phi, a) else "0" for a in all_bits(phi.num_vars)
-    )
-    return TruthTable(phi.num_vars, bits)
+def truth_table_of(phi: PropFormula) -> str:
+    return phi.bits
 
 
 def forall_exists_truth(n: int, table_bits: str) -> bool:
@@ -344,41 +318,6 @@ def forall_exists_truth(n: int, table_bits: str) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Truth table -> formula
-# ---------------------------------------------------------------------------
-
-def _fold_nodes(op, nodes):
-    # balanced fold keeps evaluation recursion shallow
-    while len(nodes) > 1:
-        paired = []
-        for i in range(0, len(nodes) - 1, 2):
-            paired.append(op(nodes[i], nodes[i + 1]))
-        if len(nodes) % 2:
-            paired.append(nodes[-1])
-        nodes = paired
-    return nodes[0]
-
-
-def formula_from_table(arity: int, bits: str) -> PropFormula:
-    """Any formula with exactly the given truth table (a minterm sum)."""
-    if arity < 1:
-        raise ValueError("arity must be at least 1")
-    check_bits(bits)
-    if len(bits) != 1 << arity:
-        raise ValueError("table length must be 2**arity")
-    minterms = []
-    for i, bit in enumerate(bits):
-        if bit != "1":
-            continue
-        a = int_to_bits(i, arity)
-        lits = [Var(j + 1) if a[j] == "1" else Not(Var(j + 1)) for j in range(arity)]
-        minterms.append(_fold_nodes(And, lits))
-    if not minterms:
-        return PropFormula(Const(False), arity)
-    return PropFormula(_fold_nodes(Or, minterms), arity)
-
-
-# ---------------------------------------------------------------------------
 # Codecs
 # ---------------------------------------------------------------------------
 
@@ -391,34 +330,28 @@ class TTPlainCodec:
     name = "ttplain"
     kind = "prop"
 
-    def __init__(self, var_cap: int = DEFAULT_VAR_CAP):
-        self.var_cap = var_cap
-
     def encode(self, phi) -> str:
         if not isinstance(phi, PropFormula):
             raise CodecError("ttplain encodes propositional formulas")
-        return truth_table_of(phi, self.var_cap).bits
+        return phi.bits
 
     def encoding_length_for(self, n):
-        return (1 << n) if 1 <= n <= self.var_cap else None
+        return (1 << n) if 1 <= n <= DEFAULT_VAR_CAP else None
 
     def decode_params(self, bits):
-        """(n, table) when the length is accepted, else None.  No AST built."""
+        """(n, table) when the length is accepted, else None."""
         length = len(bits)
         if length < 2:
             return None
         n = length.bit_length() - 1
-        if length != 1 << n or n > self.var_cap:
+        if length != 1 << n or n > DEFAULT_VAR_CAP:
             return None
         return n, bits
 
     def decode(self, bits):
         check_bits(bits)
         params = self.decode_params(bits)
-        if params is None:
-            return None
-        n, table = params
-        return formula_from_table(n, table)
+        return None if params is None else PropFormula(*params)
 
 
 class TTFECodec:
@@ -431,36 +364,27 @@ class TTFECodec:
     name = "ttfe"
     kind = "fe"
 
-    def __init__(self, var_cap: int = DEFAULT_VAR_CAP):
-        self.var_cap = var_cap
-
     def encode(self, phi) -> str:
         if not isinstance(phi, ForallExistsFormula):
             raise CodecError("ttfe encodes forall-exists formulas")
-        return truth_table_of(phi.matrix, self.var_cap).bits
+        return phi.matrix.bits
 
     def encoding_length_for(self, n):
-        return (1 << (2 * n)) if 1 <= n and 2 * n <= self.var_cap else None
+        return (1 << (2 * n)) if 1 <= n and 2 * n <= DEFAULT_VAR_CAP else None
 
     def decode_params(self, bits):
         length = len(bits)
         if length < 4:
             return None
         t = length.bit_length() - 1
-        if length != 1 << t or t % 2:
+        if length != 1 << t or t % 2 or t > DEFAULT_VAR_CAP:
             return None
-        n = t // 2
-        if 2 * n > self.var_cap:
-            return None
-        return n, bits
+        return t // 2, bits
 
     def decode(self, bits):
         check_bits(bits)
         params = self.decode_params(bits)
-        if params is None:
-            return None
-        n, table = params
-        return ForallExistsFormula(n, formula_from_table(2 * n, table))
+        return None if params is None else fe_from_table(*params)
 
 
 class CatalogCodec:
@@ -490,7 +414,7 @@ class CatalogCodec:
     def encode(self, phi) -> str:
         if not isinstance(phi, ForallExistsFormula) or phi.n != 2:
             raise CodecError("the catalog holds n=2 forall-exists formulas")
-        bits = truth_table_of(phi.matrix).bits
+        bits = phi.matrix.bits
         if bits not in self._index:
             raise CodecError("matrix not in catalog")
         return int_to_bits(self._index[bits], 4)
@@ -506,15 +430,12 @@ class CatalogCodec:
     def decode(self, bits):
         check_bits(bits)
         params = self.decode_params(bits)
-        if params is None:
-            return None
-        n, table = params
-        return ForallExistsFormula(n, formula_from_table(2 * n, table))
+        return None if params is None else fe_from_table(*params)
 
     def entry(self, index: int) -> ForallExistsFormula:
         if not 0 <= index < 16:
             raise ValueError("catalog index out of range")
-        return ForallExistsFormula(2, formula_from_table(4, self.tables[index]))
+        return fe_from_table(2, self.tables[index])
 
 
 FormulaCodec = Union[TTPlainCodec, TTFECodec, CatalogCodec]
@@ -561,21 +482,27 @@ def decode_formula(bits: str, codec):
 _FE_PREFIX = re.compile(r"fe:n=(\d+):(.*)$", re.DOTALL)
 
 
+def _table_arity(bits: str) -> int:
+    """The arity a truth-table literal's length gives, read without a 2**n."""
+    n = len(bits).bit_length() - 1
+    if len(bits) < 2 or len(bits) != 1 << n:
+        raise ValueError("truth-table literals need a power-of-two length >= 2")
+    return n
+
+
 def parse_formula_input(text: str):
     """Parse any of the accepted formula spellings.
 
     ``tt:<bits>`` is a truth-table literal, ``fe:n=<n>:<matrix-expr-or-tt>``
     a forall-exists formula, ``cat:<index>`` a catalog entry, anything else a
     plain expression.  Returns a :class:`PropFormula` or
-    :class:`ForallExistsFormula`; raises ``ValueError`` on malformed input.
+    :class:`ForallExistsFormula`; raises ``ValueError`` on malformed input
+    and ``CapExceeded`` past the variable cap.
     """
     t = text.strip()
     if t.startswith("tt:"):
-        bits = check_bits(t[3:])
-        n = len(bits).bit_length() - 1
-        if len(bits) < 2 or len(bits) != 1 << n:
-            raise ValueError("truth-table literals need a power-of-two length >= 2")
-        return formula_from_table(n, bits)
+        bits = t[3:]
+        return PropFormula(_table_arity(bits), bits)
     if t.startswith("fe:"):
         m = _FE_PREFIX.match(t)
         if not m:
@@ -585,14 +512,12 @@ def parse_formula_input(text: str):
             raise ValueError("the universal block must be nonempty")
         rest = m.group(2).strip()
         if rest.startswith("tt:"):
-            bits = check_bits(rest[3:])
-            if len(bits) != 1 << (2 * n):
-                raise ValueError(f"matrix table must have length {1 << (2 * n)}")
-            matrix = formula_from_table(2 * n, bits)
-        else:
-            parsed = parse_formula(f"vars={2 * n}: {rest}" if rest else rest,
-                                   num_universal=n)
-            matrix = parsed
+            bits = rest[3:]
+            if _table_arity(bits) != 2 * n:
+                raise ValueError(f"matrix table must have length 2**{2 * n}")
+            return fe_from_table(n, bits)
+        matrix = parse_formula(f"vars={2 * n}: {rest}" if rest else rest,
+                               num_universal=n)
         return ForallExistsFormula(n, matrix)
     if t.startswith("cat:"):
         return CatalogCodec().entry(int(t[4:]))

@@ -1,12 +1,14 @@
 """Desk-scale resource limits shared across the package.
 
-Every brute-force oracle and materialization in this package refuses work
-beyond a configurable cap instead of silently grinding.  Callers can pass
-larger caps explicitly when they know what they are doing.
+Every formula, brute-force oracle and materialization in this package
+refuses work beyond a cap instead of silently grinding.  The node, pair and
+triple caps can be raised per call by callers who know what they are doing;
+the variable cap is fixed.
 """
 
-# Brute-force truth oracles refuse formulas with more variables than this
-# (2**24 matrix evaluations is the ceiling we consider desk scale).
+# Formulas with more variables than this are refused when they are built or
+# parsed, before any table is formed: a formula is held as its truth table,
+# and 2**12 entries is the largest table we consider desk scale.
 DEFAULT_VAR_CAP = 12
 
 # Materialized graphs refuse to build more nodes than this (length-13

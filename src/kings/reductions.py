@@ -49,11 +49,11 @@ from .formula import (
     TTFECodec,
     eval_forall_exists,
     eval_formula,
+    fe_from_table,
     formula_from_table,
     is_satisfiable,
     is_tautology,
     parse_formula_input,
-    truth_table_of,
 )
 from .generators import (
     enumerate_all_digraphs,
@@ -148,7 +148,7 @@ def reduce_to_kings(kind: str, source, codec=None) -> ReductionInstance:
             else isinstance(phi, PropFormula)):
         try:
             enc = spec.codec.encode(phi)
-        except (CodecError, CapExceeded):
+        except CodecError:
             enc = None
     if enc is None:
         node = canonical_out(spec)
@@ -174,7 +174,7 @@ def reduce_to_kkings(source, k: int, codec=None) -> ReductionInstance:
     if isinstance(phi, ForallExistsFormula) and phi.n > k - 2:
         try:
             enc = spec.codec.encode(phi)
-        except (CodecError, CapExceeded):
+        except CodecError:
             enc = None
     if enc is None:
         node = canonical_out(spec)
@@ -244,7 +244,7 @@ def reduce_taut_to_1king_gw(phi: PropFormula,
     """Header-and-certificates instance: the header is a 1-king iff every
     assignment satisfies the formula.  Cross edges run low id to high id."""
     n = phi.num_vars
-    table = truth_table_of(phi).bits
+    table = phi.bits
     certs = 1 << n
     total = 1 + certs
     t = _pad_exponent(total)
@@ -277,7 +277,7 @@ def build_2partite_instance(phi: ForallExistsFormula,
     beat part-2 padding; part-1 padding is beaten by all of part 2.
     """
     n = phi.n
-    table = truth_table_of(phi.matrix).bits
+    table = phi.matrix.bits
     half = 1 << n
     np2 = n + 1
 
@@ -407,15 +407,6 @@ class VerificationReport:
         return recs
 
 
-def _fe_from_table(n, bits):
-    return ForallExistsFormula(n, formula_from_table(2 * n, bits))
-
-
-def _all_tables(width):
-    for v in range(1 << width):
-        yield int_to_bits(v, width)
-
-
 def _sampled_tables(rng, width, count):
     for _ in range(count):
         yield int_to_bits(rng.getrandbits(width), width)
@@ -425,12 +416,12 @@ def _sampled_tables(rng, width, count):
 
 def _suite_claim22(report, seed, sample, n):
     if n <= 2:
-        tables = _all_tables(1 << (2 * n))
+        tables = all_bits(1 << (2 * n))
     else:
         rng = random.Random(seed)
         tables = _sampled_tables(rng, 1 << (2 * n), sample or 200)
     for bits in tables:
-        fe = _fe_from_table(n, bits)
+        fe = fe_from_table(n, bits)
         truth = eval_forall_exists(fe)
         g = build_subtournament("pi2", fe)
         report.check("potential-king-vs-truth",
@@ -449,7 +440,7 @@ def _suite_claim28(report, seed, sample):
     rng = random.Random(seed)
     for n in (1, 2, 3):
         if n <= 2:
-            tables = _all_tables(1 << n)
+            tables = all_bits(1 << n)
         else:
             tables = sorted(set(_sampled_tables(rng, 1 << n, sample or 64)))
         for bits in tables:
@@ -479,7 +470,7 @@ def _suite_claim211(report, seed, sample):
     rng = random.Random(seed)
     for n in (1, 2, 3):
         if n <= 2:
-            tables = _all_tables(1 << n)
+            tables = all_bits(1 << n)
         else:
             tables = sorted(set(_sampled_tables(rng, 1 << n, sample or 64)))
         for bits in tables:
@@ -652,8 +643,8 @@ def _audit_kkings_reach(spec, g, node, enc, k):
 # -- succinct-graph suites ---------------------------------------------------
 
 def _suite_antenna(report, seed, sample, k):
-    for bits in _all_tables(4):
-        fe = _fe_from_table(1, bits)
+    for bits in all_bits(4):
+        fe = fe_from_table(1, bits)
         inst = build_gw_antenna_instance(fe, k)
         g = gw_materialize(inst.circuit)
         report.check("attached-graph-is-tournament",
@@ -664,8 +655,8 @@ def _suite_antenna(report, seed, sample, k):
 
 
 def _suite_onekings_gw(report, seed, sample):
-    cases = [(1, bits) for bits in _all_tables(2)]
-    cases += [(2, bits) for bits in _all_tables(4)]
+    cases = [(1, bits) for bits in all_bits(2)]
+    cases += [(2, bits) for bits in all_bits(4)]
     for n, bits in cases:
         phi = formula_from_table(n, bits)
         inst = reduce_taut_to_1king_gw(phi)
@@ -700,12 +691,12 @@ def _suite_lemma42(report, seed, sample):
 
 def _suite_lemma43(report, seed, sample, n):
     if n == 1:
-        tables = list(_all_tables(4))
+        tables = list(all_bits(4))
     else:
         rng = random.Random(seed)
         tables = list(_sampled_tables(rng, 1 << (2 * n), sample or 1000))
     for bits in tables:
-        fe = _fe_from_table(n, bits)
+        fe = fe_from_table(n, bits)
         inst = build_2partite_instance(fe)
         report.check("designated-2king-vs-truth",
                      jt_k_king(inst.circuit, inst.node, 2) == inst.expected,
@@ -713,8 +704,8 @@ def _suite_lemma43(report, seed, sample, n):
 
 
 def _suite_lemma44(report, seed, sample):
-    for bits in _all_tables(4):
-        fe = _fe_from_table(1, bits)
+    for bits in all_bits(4):
+        fe = fe_from_table(1, bits)
         inst = build_2partite_instance(fe)
         lifted, node = lift_j(inst.circuit, inst.node)
         mpt_old = jt_materialize(inst.circuit)
@@ -734,8 +725,8 @@ def _suite_lemma44(report, seed, sample):
 
 
 def _suite_lemma45(report, seed, sample):
-    for bits in _all_tables(4):
-        fe = _fe_from_table(1, bits)
+    for bits in all_bits(4):
+        fe = fe_from_table(1, bits)
         inst = build_2partite_instance(fe)
         lifted, z = lift_k(inst.circuit, inst.node)
         report.check("shifted-kingship-vs-truth",

@@ -47,13 +47,11 @@ from .formula import (
     TTFECodec,
     TTPlainCodec,
     codec_by_name,
-    truth_table_of,
 )
 from .limits import (
     DEFAULT_NODE_CAP,
     DEFAULT_PAIR_BUDGET,
     DEFAULT_TRIPLE_BUDGET,
-    DEFAULT_VAR_CAP,
     CapExceeded,
     check_node_cap,
 )
@@ -156,7 +154,7 @@ _MEMBER_SUFFIX_BUILDERS = {
 _KIND_TO_STYLE = {"pi2": "fe", "conp": "taut", "np": "sat", "kkings": "fe"}
 
 
-def build_subtournament(kind: str, phi, var_cap: int = DEFAULT_VAR_CAP,
+def build_subtournament(kind: str, phi,
                         node_cap: int = DEFAULT_NODE_CAP) -> ExplicitDigraph:
     """The one-formula tournament, nodes labeled by their suffix strings.
 
@@ -170,12 +168,12 @@ def build_subtournament(kind: str, phi, var_cap: int = DEFAULT_VAR_CAP,
         if not isinstance(phi, ForallExistsFormula):
             raise TypeError("pi2 subtournaments take forall-exists formulas")
         n = phi.n
-        table = truth_table_of(phi.matrix, var_cap).bits
+        table = phi.matrix.bits
     else:
         if not isinstance(phi, PropFormula):
             raise TypeError(f"{kind} subtournaments take propositional formulas")
         n = phi.num_vars
-        table = truth_table_of(phi, var_cap).bits
+        table = phi.bits
     suffixes = sorted(_MEMBER_SUFFIX_BUILDERS[style](n))
     check_node_cap(len(suffixes), node_cap)
     g = ExplicitDigraph(len(suffixes), labels=suffixes)

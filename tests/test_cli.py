@@ -110,6 +110,23 @@ def test_reduce_deeply_nested_formulas_do_not_crash(capsys, kind):
         assert code in (0, 2) and "Traceback" not in err
 
 
+def test_reduce_over_the_variable_cap(capsys):
+    # onekings reports the cap; conp maps the formula to its non-king node
+    code, _, err = run(capsys, "reduce", "--kind", "onekings", "--formula", "vars=13: x1")
+    assert code == 3 and "cap" in err
+    code, out, _ = run(capsys, "reduce", "--kind", "conp", "--formula", "vars=13: x1")
+    assert code == 0 and "node 00000001" in out and "expected false" in out
+
+
+def test_reduce_huge_universal_block_does_not_crash(capsys):
+    # the matrix arity is read off the table's length, so no 2**(2n) is formed
+    formula = "fe:n=1000000000000:tt:1001"
+    code, _, err = run(capsys, "reduce", "--kind", "2partite", "--formula", formula)
+    assert code == 2 and "error:" in err and "Traceback" not in err
+    code, out, err = run(capsys, "reduce", "--kind", "conp", "--formula", formula)
+    assert code == 0 and "node 00000001" in out and "Traceback" not in err
+
+
 def test_verify(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "claim2.2:n=1")
     assert code == 0 and "16/16 agree" in out

@@ -8,7 +8,6 @@ from kings.formula import (
     CodecError,
     ForallExistsFormula,
     FormulaSyntaxError,
-    Not,
     PropFormula,
     TTFECodec,
     TTPlainCodec,
@@ -27,7 +26,7 @@ from kings.limits import CapExceeded
 
 
 def tt(expr, n=None):
-    return truth_table_of(parse_formula(expr, num_universal=n)).bits
+    return truth_table_of(parse_formula(expr, num_universal=n))
 
 
 # ---------------------------------------------------------------------------
@@ -81,9 +80,9 @@ def test_parse_input_forms():
     fe = parse_formula_input("fe:n=1:tt:1001")
     assert isinstance(fe, ForallExistsFormula) and fe.n == 1
     fe2 = parse_formula_input("fe:n=1:!(x1&!y1)&!(!x1&y1)")
-    assert truth_table_of(fe2.matrix).bits == "1001"
+    assert truth_table_of(fe2.matrix) == "1001"
     p = parse_formula_input("tt:01")
-    assert truth_table_of(p).bits == "01"
+    assert truth_table_of(p) == "01"
     cat = parse_formula_input("cat:0")
     assert isinstance(cat, ForallExistsFormula) and cat.n == 2
     with pytest.raises(ValueError):
@@ -156,16 +155,32 @@ def test_tautology_is_dual_of_satisfiability():
         for v in range(1 << (1 << n)):
             bits = int_to_bits(v, 1 << n)
             phi = formula_from_table(n, bits)
-            negated = PropFormula(Not(phi.root), phi.num_vars)
+            complement = "".join("1" if b == "0" else "0" for b in bits)
+            negated = formula_from_table(n, complement)
             assert is_tautology(phi) == (not is_satisfiable(negated))
 
 
 def test_enumeration_cap():
-    big = PropFormula(parse_formula("x1").root, 13)
+    # the cap is checked when a formula is built or parsed, before any 2**n
     with pytest.raises(CapExceeded):
-        is_tautology(big)
+        parse_formula("vars=13: x1")
     with pytest.raises(CapExceeded):
-        truth_table_of(big)
+        parse_formula("x13")
+    with pytest.raises(CapExceeded):
+        parse_formula("vars=1000000000000: x1")
+    with pytest.raises(CapExceeded):
+        formula_from_table(13, "0" * (1 << 13))
+    with pytest.raises(CapExceeded):
+        parse_formula_input("fe:n=7:x1")
+    assert parse_formula("vars=12: x1").bits == "0" * 2048 + "1" * 2048
+
+
+def test_long_chains_hash_compare_and_print():
+    # a formula is its table, so no syntax tree is left to recurse through
+    phi = parse_formula("&".join(["x1"] * 3000))
+    assert hash(phi) == hash(PropFormula(1, "01"))
+    assert phi == phi and phi == PropFormula(1, "01")
+    assert repr(phi) == "PropFormula(num_vars=1, bits='01')"
 
 
 # ---------------------------------------------------------------------------
@@ -178,11 +193,20 @@ def test_truth_table_bit_order():
     assert tt("!(x1&!y1)&!(!x1&y1)", n=1) == "1001"
 
 
+def _minterm_text(n, bits):
+    # the sum of the table's minterms as text; x1&!x1 stands for the empty sum
+    terms = ["&".join(f"x{j + 1}" if a[j] == "1" else f"!x{j + 1}" for j in range(n))
+             for a, bit in zip(all_bits(n), bits) if bit == "1"]
+    return f"vars={n}: " + ("|".join(f"({t})" for t in terms) or "x1&!x1")
+
+
 def test_formula_from_table_roundtrip():
+    # the parser's evaluator against an independent construction, exhaustively
     for n in (1, 2, 3):
         for v in range(1 << (1 << n)):
             bits = int_to_bits(v, 1 << n)
-            assert truth_table_of(formula_from_table(n, bits)).bits == bits
+            assert truth_table_of(formula_from_table(n, bits)) == bits
+            assert parse_formula(_minterm_text(n, bits)).bits == bits
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +223,7 @@ def test_encode_examples():
 def test_decode_examples():
     fe = decode_formula("1001", TTFECodec())
     assert isinstance(fe, ForallExistsFormula) and fe.n == 1
-    assert truth_table_of(fe.matrix).bits == "1001"
+    assert truth_table_of(fe.matrix) == "1001"
     assert decode_formula("101", TTFECodec()) is None
     assert decode_formula("11", TTFECodec()) is None  # length 2 is not a code
     plain = decode_formula("11", TTPlainCodec())
@@ -222,12 +246,12 @@ def test_codec_roundtrip_preserves_truth_tables():
             bits = int_to_bits(v, 1 << n)
             phi = formula_from_table(n, bits)
             again = decode_formula(encode_formula(phi, plain), plain)
-            assert truth_table_of(again).bits == truth_table_of(phi).bits
+            assert truth_table_of(again) == truth_table_of(phi)
     for v in range(16):
         bits = int_to_bits(v, 4)
         fe = ForallExistsFormula(1, formula_from_table(2, bits))
         again = decode_formula(encode_formula(fe, fe_codec), fe_codec)
-        assert truth_table_of(again.matrix).bits == bits
+        assert truth_table_of(again.matrix) == bits
 
 
 def test_codec_wrong_shape_rejected():
