@@ -14,8 +14,9 @@ Succinct graphs come in two flavors:
   of the j (n+1)-bit fields through their leading control bits; the model
   itself guarantees the result is a multipartite tournament.
 
-Materialization is capped; evaluation over many queries runs gate by gate
-on numpy boolean columns.
+Materialization and the edge-table queries of the table-to-circuit builders
+are capped; evaluation over many queries runs gate by gate on numpy boolean
+columns.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import numpy as np
 
 from .bitstrings import check_bits, int_to_bits
 from .digraph import ExplicitDigraph, MultipartiteTournament, is_k_king
-from .limits import DEFAULT_NODE_CAP, check_node_cap
+from .limits import check_node_cap, check_query_cap
 
 
 class CircuitParseError(ValueError):
@@ -284,10 +285,9 @@ class SuccinctGraph:
             raise ValueError("circuit arity must be 2n")
 
 
-def table_to_circuit(n: int, edge_fn: Callable[[str, str], bool],
-                     node_cap: int = DEFAULT_NODE_CAP) -> SuccinctGraph:
+def table_to_circuit(n: int, edge_fn: Callable[[str, str], bool]) -> SuccinctGraph:
     """Wrap an explicit edge table as a succinct graph (sum of minterms)."""
-    check_node_cap(1 << n, node_cap)
+    check_query_cap((1 << n) * ((1 << n) - 1))
     accepted = []
     for x in range(1 << n):
         xs = int_to_bits(x, n)
@@ -317,10 +317,10 @@ def _node_bit_matrix(count: int, width: int) -> np.ndarray:
     return ((np.arange(count)[:, None] >> shifts) & 1).astype(bool)
 
 
-def _gw_edge_matrix(sg: SuccinctGraph, node_cap) -> np.ndarray:
+def _gw_edge_matrix(sg: SuccinctGraph) -> np.ndarray:
     n = sg.n
     count = 1 << n
-    check_node_cap(count, node_cap)
+    check_node_cap(count)
     bits = _node_bit_matrix(count, n)
     out = np.zeros((count, count), dtype=bool)
     # chunk over source nodes to bound the query matrix
@@ -336,25 +336,24 @@ def _gw_edge_matrix(sg: SuccinctGraph, node_cap) -> np.ndarray:
     return out
 
 
-def gw_materialize(sg: SuccinctGraph, node_cap: int = DEFAULT_NODE_CAP) -> ExplicitDigraph:
+def gw_materialize(sg: SuccinctGraph) -> ExplicitDigraph:
     """The explicit digraph on 2**n nodes labeled by their bit-strings."""
-    edges = _gw_edge_matrix(sg, node_cap)
+    edges = _gw_edge_matrix(sg)
     labels = [int_to_bits(i, sg.n) for i in range(1 << sg.n)]
     return ExplicitDigraph.from_adjacency(edges, labels)
 
 
-def gw_check_tournament(sg: SuccinctGraph, node_cap: int = DEFAULT_NODE_CAP) -> bool:
-    edges = _gw_edge_matrix(sg, node_cap)
+def gw_check_tournament(sg: SuccinctGraph) -> bool:
+    edges = _gw_edge_matrix(sg)
     want = ~np.eye(edges.shape[0], dtype=bool)
     return bool(np.array_equal(edges ^ edges.T, want))
 
 
-def gw_k_king(sg: SuccinctGraph, x: str, k: int,
-              node_cap: int = DEFAULT_NODE_CAP) -> bool:
+def gw_k_king(sg: SuccinctGraph, x: str, k: int) -> bool:
     check_bits(x)
     if len(x) != sg.n:
         raise ValueError(f"node strings must have length {sg.n}")
-    g = gw_materialize(sg, node_cap)
+    g = gw_materialize(sg)
     return is_k_king(g, int(x, 2), k)
 
 
@@ -417,15 +416,12 @@ def jt_node_index(jc: JTournamentCircuit, node: Tuple[int, str]) -> int:
     return (i - 1) * jc.part_size() + (int(s, 2) if s else 0)
 
 
-def jt_materialize(jc: JTournamentCircuit,
-                   node_cap: int = DEFAULT_NODE_CAP) -> MultipartiteTournament:
+def jt_materialize(jc: JTournamentCircuit) -> MultipartiteTournament:
     """Explicit multipartite tournament; parts listed in field order."""
     size = jc.part_size()
     total = jc.j * size
-    check_node_cap(total, node_cap)
-    g = ExplicitDigraph(total, labels=[f"{i}:{int_to_bits(v, jc.n)}"
-                                       for i in range(1, jc.j + 1)
-                                       for v in range(size)])
+    check_node_cap(total)
+    adj = np.zeros((total, total), dtype=bool)
     bits = _node_bit_matrix(size, jc.n)
     f = jc.n + 1
     arity = jc.j * f
@@ -439,19 +435,18 @@ def jt_materialize(jc: JTournamentCircuit,
                 queries[:, (i - 1) * f + 1:i * f] = np.repeat(bits, size, axis=0)
                 queries[:, (i2 - 1) * f + 1:i2 * f] = np.tile(bits, (size, 1))
             res = eval_circuit_batch(jc.circuit, queries).reshape(size, size)
-            base_a = (i - 1) * size
-            base_b = (i2 - 1) * size
-            for s in range(size):
-                row = res[s]
-                g.adj[base_a + s, base_b:base_b + size] = row
-                g.adj[base_b:base_b + size, base_a + s] = ~row
+            a = slice((i - 1) * size, i * size)
+            b = slice((i2 - 1) * size, i2 * size)
+            adj[a, b] = res
+            adj[b, a] = ~res.T
+    labels = [f"{i}:{int_to_bits(v, jc.n)}" for i in range(1, jc.j + 1)
+              for v in range(size)]
     parts = [list(range((i - 1) * size, i * size)) for i in range(1, jc.j + 1)]
-    return MultipartiteTournament(g, parts)
+    return MultipartiteTournament(ExplicitDigraph.from_adjacency(adj, labels), parts)
 
 
-def jt_k_king(jc: JTournamentCircuit, node: Tuple[int, str], k: int,
-              node_cap: int = DEFAULT_NODE_CAP) -> bool:
-    mpt = jt_materialize(jc, node_cap)
+def jt_k_king(jc: JTournamentCircuit, node: Tuple[int, str], k: int) -> bool:
+    mpt = jt_materialize(jc)
     return is_k_king(mpt.graph, jt_node_index(jc, node), k)
 
 
@@ -471,15 +466,15 @@ def mpt_has_1king_fast(jc: JTournamentCircuit) -> Optional[Tuple[int, str]]:
 
 
 def jt_table_to_circuit(j: int, n: int,
-                        edge_fn: Callable[[int, str, int, str], bool],
-                        node_cap: int = DEFAULT_NODE_CAP) -> JTournamentCircuit:
+                        edge_fn: Callable[[int, str, int, str], bool]
+                        ) -> JTournamentCircuit:
     """Wrap an explicit cross-part edge table as a tournament circuit.
 
     ``edge_fn(i, s, i2, s2)`` gives the orientation for the canonical i < i2
     query; the circuit is a sum of minterms over canonical query strings.
     """
-    check_node_cap(j << n, node_cap)
     size = 1 << n
+    check_query_cap(j * (j - 1) // 2 * size * size)
     accepted = []
     for i in range(1, j):
         for i2 in range(i + 1, j + 1):

@@ -3,7 +3,8 @@
 Graphs are simple (no self-loops) and stored as a dense boolean adjacency
 matrix, which keeps depth-bounded reachability on multi-thousand-node
 materializations fast: a 2-king check is one row read plus one sweep over
-the out-neighborhood rows.  Graphs are meant to be immutable once built.
+the out-neighborhood rows.  Graphs are built once from a whole matrix and
+are immutable: the stored adjacency is read-only.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ class ExplicitDigraph:
         if num_nodes < 1:
             raise ValueError("a graph has at least one node")
         self._adj = np.zeros((num_nodes, num_nodes), dtype=bool)
+        self._adj.flags.writeable = False
         self._labels = None
         self._label_index = None
         if labels is not None:
@@ -40,10 +42,15 @@ class ExplicitDigraph:
 
     @classmethod
     def from_edges(cls, num_nodes, edges, labels=None):
-        g = cls(num_nodes, labels)
+        if num_nodes < 1:
+            raise ValueError("a graph has at least one node")
+        adj = np.zeros((num_nodes, num_nodes), dtype=bool)
         for u, v in edges:
-            g.add_edge(u, v)
-        return g
+            for w in (u, v):
+                if not 0 <= w < num_nodes:
+                    raise ValueError(f"node {w} not in graph of {num_nodes} nodes")
+            adj[u, v] = True
+        return cls.from_adjacency(adj, labels)
 
     @classmethod
     def from_adjacency(cls, matrix, labels=None):
@@ -54,6 +61,7 @@ class ExplicitDigraph:
             raise ValueError("self-loops are not allowed")
         g = cls(matrix.shape[0], labels)
         g._adj = matrix.copy()
+        g._adj.flags.writeable = False
         return g
 
     @property
@@ -71,13 +79,6 @@ class ExplicitDigraph:
     def _check_node(self, v):
         if not 0 <= v < self.num_nodes:
             raise ValueError(f"node {v} not in graph of {self.num_nodes} nodes")
-
-    def add_edge(self, u: int, v: int):
-        self._check_node(u)
-        self._check_node(v)
-        if u == v:
-            raise ValueError("self-loops are not allowed")
-        self._adj[u, v] = True
 
     def has_edge(self, u: int, v: int) -> bool:
         self._check_node(u)
@@ -299,13 +300,13 @@ def enumerate_tournaments(num_nodes: int) -> Iterator[ExplicitDigraph]:
         raise ValueError("a graph has at least one node")
     pairs = list(combinations(range(num_nodes), 2))
     for mask in range(1 << len(pairs)):
-        g = ExplicitDigraph(num_nodes)
+        adj = np.zeros((num_nodes, num_nodes), dtype=bool)
         for p, (u, v) in enumerate(pairs):
             if (mask >> p) & 1:
-                g.add_edge(u, v)
+                adj[u, v] = True
             else:
-                g.add_edge(v, u)
-        yield g
+                adj[v, u] = True
+        yield ExplicitDigraph.from_adjacency(adj)
 
 
 _DOT_SAFE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|[0-9]+")

@@ -8,28 +8,30 @@ from __future__ import annotations
 
 from typing import Iterator
 
+import numpy as np
+
 from .circuit import BooleanCircuit, JTournamentCircuit
 from .digraph import ExplicitDigraph, MultipartiteTournament
 
 
 def random_digraph(rng, num_nodes: int, p: float = 0.5) -> ExplicitDigraph:
-    g = ExplicitDigraph(num_nodes)
+    adj = np.zeros((num_nodes, num_nodes), dtype=bool)
     for u in range(num_nodes):
         for v in range(num_nodes):
             if u != v and rng.random() < p:
-                g.add_edge(u, v)
-    return g
+                adj[u, v] = True
+    return ExplicitDigraph.from_adjacency(adj)
 
 
 def enumerate_all_digraphs(num_nodes: int) -> Iterator[ExplicitDigraph]:
     """Every simple digraph on the given nodes (all ordered-pair subsets)."""
     pairs = [(u, v) for u in range(num_nodes) for v in range(num_nodes) if u != v]
     for mask in range(1 << len(pairs)):
-        g = ExplicitDigraph(num_nodes)
+        adj = np.zeros((num_nodes, num_nodes), dtype=bool)
         for p, (u, v) in enumerate(pairs):
             if (mask >> p) & 1:
-                g.add_edge(u, v)
-        yield g
+                adj[u, v] = True
+        yield ExplicitDigraph.from_adjacency(adj)
 
 
 def random_multipartite_tournament(rng, j: int, max_part: int,
@@ -49,7 +51,7 @@ def random_multipartite_tournament(rng, j: int, max_part: int,
     for s in sizes:
         parts.append(list(range(start, start + s)))
         start += s
-    g = ExplicitDigraph(start)
+    adj = np.zeros((start, start), dtype=bool)
     part_of = {v: i for i, part in enumerate(parts) for v in part}
     sources = []
     if force_two_sources:
@@ -60,14 +62,14 @@ def random_multipartite_tournament(rng, j: int, max_part: int,
             if part_of[u] == part_of[v]:
                 continue
             if u in sources and v not in sources:
-                g.add_edge(u, v)
+                adj[u, v] = True
             elif v in sources and u not in sources:
-                g.add_edge(v, u)
+                adj[v, u] = True
             elif rng.random() < 0.5:
-                g.add_edge(u, v)
+                adj[u, v] = True
             else:
-                g.add_edge(v, u)
-    return MultipartiteTournament(g, parts)
+                adj[v, u] = True
+    return MultipartiteTournament(ExplicitDigraph.from_adjacency(adj), parts)
 
 
 def random_circuit(rng, num_inputs: int, num_gates: int = 12) -> BooleanCircuit:

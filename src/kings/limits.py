@@ -1,9 +1,9 @@
 """Desk-scale resource limits shared across the package.
 
 Every formula, brute-force oracle and materialization in this package
-refuses work beyond a cap instead of silently grinding.  The node, pair and
-triple caps can be raised per call by callers who know what they are doing;
-the variable cap is fixed.
+refuses work beyond a cap instead of silently grinding.  Every cap is a
+fixed constant, read where the work is sized, and checked before any
+enumeration starts.
 """
 
 # Formulas with more variables than this are refused when they are built or
@@ -21,12 +21,25 @@ DEFAULT_PAIR_BUDGET = 1 << 26
 # Exhaustive associativity checks refuse more triples than this.
 DEFAULT_TRIPLE_BUDGET = 1 << 21
 
+# The table-to-circuit builders refuse to query their Python edge function
+# on more ordered node pairs than this: each accepted pair becomes a minterm
+# of the emitted circuit.
+DEFAULT_QUERY_CAP = 1 << 18
+
 
 class CapExceeded(RuntimeError):
     """Raised when an operation would exceed its configured desk-scale cap."""
 
 
-def check_node_cap(count: int, node_cap: int) -> None:
-    """Refuse to materialize more than ``node_cap`` nodes."""
-    if count > node_cap:
-        raise CapExceeded(f"{count} nodes exceeds the materialization cap {node_cap}")
+def check_node_cap(count: int) -> None:
+    """Refuse to materialize more than ``DEFAULT_NODE_CAP`` nodes."""
+    if count > DEFAULT_NODE_CAP:
+        raise CapExceeded(
+            f"{count} nodes exceeds the materialization cap {DEFAULT_NODE_CAP}")
+
+
+def check_query_cap(count: int) -> None:
+    """Refuse to query an edge table on more than ``DEFAULT_QUERY_CAP`` pairs."""
+    if count > DEFAULT_QUERY_CAP:
+        raise CapExceeded(
+            f"{count} edge queries exceeds the query cap {DEFAULT_QUERY_CAP}")

@@ -61,7 +61,7 @@ from .generators import (
     random_jtournament_circuit,
     random_multipartite_tournament,
 )
-from .limits import DEFAULT_NODE_CAP, CapExceeded, check_node_cap
+from .limits import CapExceeded, check_node_cap
 from .pairing import Pairing, pair
 from .specifier import (
     ANTENNA,
@@ -197,8 +197,7 @@ def _pad_exponent(total: int) -> int:
     return max(t, 1)
 
 
-def build_gw_antenna_instance(phi: ForallExistsFormula, k: int,
-                              node_cap: int = DEFAULT_NODE_CAP) -> ReductionInstance:
+def build_gw_antenna_instance(phi: ForallExistsFormula, k: int) -> ReductionInstance:
     """One-formula k-king instance: the 2-king tournament plus a k-2 chain.
 
     The chain's last node points at the potential king; every original node
@@ -208,13 +207,13 @@ def build_gw_antenna_instance(phi: ForallExistsFormula, k: int,
     """
     if k < 2:
         raise ValueError("k must be at least 2")
-    base_graph = build_subtournament("pi2", phi, node_cap=node_cap)
+    base_graph = build_subtournament("pi2", phi)
     base = base_graph.num_nodes
     chain = k - 2
     total = base + chain
     t = _pad_exponent(total)
     size = 1 << t
-    check_node_cap(size, node_cap)
+    check_node_cap(size)
     adj = np.zeros((size, size), dtype=bool)
     adj[:base, :base] = base_graph.adj
     last = base + chain - 1  # only meaningful when chain > 0
@@ -232,15 +231,13 @@ def build_gw_antenna_instance(phi: ForallExistsFormula, k: int,
                 adj[b, a] = True  # back toward the chain head
     for d in range(total, size):
         adj[:d, d] = True  # dummies lose to everything, including earlier dummies
-    sg = table_to_circuit(t, lambda x, y: bool(adj[int(x, 2), int(y, 2)]),
-                          node_cap=node_cap)
+    sg = table_to_circuit(t, lambda x, y: bool(adj[int(x, 2), int(y, 2)]))
     designated = 0 if k == 2 else base
     return ReductionInstance(target=f"gw-kings:{k}", node=int_to_bits(designated, t),
                              length=t, circuit=sg, expected=eval_forall_exists(phi))
 
 
-def reduce_taut_to_1king_gw(phi: PropFormula,
-                            node_cap: int = DEFAULT_NODE_CAP) -> ReductionInstance:
+def reduce_taut_to_1king_gw(phi: PropFormula) -> ReductionInstance:
     """Header-and-certificates instance: the header is a 1-king iff every
     assignment satisfies the formula.  Cross edges run low id to high id."""
     n = phi.num_vars
@@ -249,7 +246,7 @@ def reduce_taut_to_1king_gw(phi: PropFormula,
     total = 1 + certs
     t = _pad_exponent(total)
     size = 1 << t
-    check_node_cap(size, node_cap)
+    check_node_cap(size)
     adj = np.zeros((size, size), dtype=bool)
     for a in range(certs):
         if table[a] == "1":
@@ -259,14 +256,12 @@ def reduce_taut_to_1king_gw(phi: PropFormula,
     adj[0, total:] = True
     for u in range(1, size):
         adj[u, u + 1:] = True
-    sg = table_to_circuit(t, lambda x, y: bool(adj[int(x, 2), int(y, 2)]),
-                          node_cap=node_cap)
+    sg = table_to_circuit(t, lambda x, y: bool(adj[int(x, 2), int(y, 2)]))
     return ReductionInstance(target="gw-kings:1", node=int_to_bits(0, t),
                              length=t, circuit=sg, expected=is_tautology(phi))
 
 
-def build_2partite_instance(phi: ForallExistsFormula,
-                            node_cap: int = DEFAULT_NODE_CAP) -> ReductionInstance:
+def build_2partite_instance(phi: ForallExistsFormula) -> ReductionInstance:
     """Two-part instance whose designated part-1 node is a 2-king iff the
     formula is true.
 
@@ -293,8 +288,7 @@ def build_2partite_instance(phi: ForallExistsFormula,
             return True  # x-nodes beat part-2 padding
         return False  # part-1 padding loses to part 2
 
-    jc = jt_table_to_circuit(2, np2, lambda i, s, i2, s2: edge_1_to_2(s, s2),
-                             node_cap=node_cap)
+    jc = jt_table_to_circuit(2, np2, lambda i, s, i2, s2: edge_1_to_2(s, s2))
     return ReductionInstance(target="jt-kings:2:2", node=(1, "0" * np2),
                              length=np2, circuit=jc,
                              expected=eval_forall_exists(phi))
@@ -315,8 +309,7 @@ def lift_j(jc: JTournamentCircuit, node: Tuple[int, str]
     return lifted, node
 
 
-def lift_k(jc: JTournamentCircuit, w: Tuple[int, str],
-           node_cap: int = DEFAULT_NODE_CAP
+def lift_k(jc: JTournamentCircuit, w: Tuple[int, str]
            ) -> Tuple[JTournamentCircuit, Tuple[int, str]]:
     """Two-part k-to-(k+1) shift: a new node opposite w points only at w,
     is pointed at by the rest of w's part, and both parts re-pad to the
@@ -349,8 +342,7 @@ def lift_k(jc: JTournamentCircuit, w: Tuple[int, str],
             return False
         return True  # padding vs padding: part 1 to part 2
 
-    lifted = jt_table_to_circuit(2, n2, lambda i, s, i2, s2: edge_1_to_2(s, s2),
-                                 node_cap=node_cap)
+    lifted = jt_table_to_circuit(2, n2, lambda i, s, i2, s2: edge_1_to_2(s, s2))
     return lifted, (opp, z_s)
 
 

@@ -32,6 +32,7 @@ what makes the rule well defined, commutative and selecting.
 from __future__ import annotations
 
 import random
+from functools import lru_cache
 from itertools import combinations_with_replacement
 from dataclasses import dataclass, field
 from typing import List, Optional
@@ -49,7 +50,6 @@ from .formula import (
     codec_by_name,
 )
 from .limits import (
-    DEFAULT_NODE_CAP,
     DEFAULT_PAIR_BUDGET,
     DEFAULT_TRIPLE_BUDGET,
     CapExceeded,
@@ -151,11 +151,16 @@ _MEMBER_SUFFIX_BUILDERS = {
     + ["11" + "0" * n, "1" * (n + 2)],
 }
 
+
+@lru_cache(maxsize=None)
+def _member_suffixes(style: str, n: int) -> frozenset:
+    return frozenset(_MEMBER_SUFFIX_BUILDERS[style](n))
+
+
 _KIND_TO_STYLE = {"pi2": "fe", "conp": "taut", "np": "sat", "kkings": "fe"}
 
 
-def build_subtournament(kind: str, phi,
-                        node_cap: int = DEFAULT_NODE_CAP) -> ExplicitDigraph:
+def build_subtournament(kind: str, phi) -> ExplicitDigraph:
     """The one-formula tournament, nodes labeled by their suffix strings.
 
     Node 0 is always the potential king (its suffix, all zeros, sorts
@@ -175,15 +180,16 @@ def build_subtournament(kind: str, phi,
         n = phi.num_vars
         table = phi.bits
     suffixes = sorted(_MEMBER_SUFFIX_BUILDERS[style](n))
-    check_node_cap(len(suffixes), node_cap)
-    g = ExplicitDigraph(len(suffixes), labels=suffixes)
+    count = len(suffixes)
+    check_node_cap(count)
+    adj = np.zeros((count, count), dtype=bool)
     for i, w in enumerate(suffixes):
-        for j in range(i + 1, len(suffixes)):
+        for j in range(i + 1, count):
             if _edge_rule_lt(style, table, n, w, suffixes[j]):
-                g.add_edge(i, j)
+                adj[i, j] = True
             else:
-                g.add_edge(j, i)
-    return g
+                adj[j, i] = True
+    return ExplicitDigraph.from_adjacency(adj, labels=suffixes)
 
 
 # ---------------------------------------------------------------------------
@@ -290,17 +296,6 @@ class FunctionSpecifier(TournamentFamilySpecifier):
         return self._fn(x, y)
 
 
-class GraphFamilySpecifier:
-    """Total 0/1 edge rule inducing one simple digraph per length."""
-
-    def __init__(self, name, edge_fn):
-        self.name = name
-        self._edge = edge_fn
-
-    def edge(self, x: str, y: str) -> bool:
-        return bool(self._edge(x, y))
-
-
 class WeaveSpecifier(TournamentFamilySpecifier):
     """The formula-indexed built-ins (pi2 / conp / np / kkings)."""
 
@@ -363,38 +358,24 @@ class WeaveSpecifier(TournamentFamilySpecifier):
             return _OTHER_INFO
         if w == "01" + "0" * n:
             return _Info(MARKER, phi=enc, n=n, suffix=w, table=table)
+        if w in _member_suffixes(self.style, n):
+            return _Info(MEMBER, phi=enc, n=n, suffix=w, pk="1" not in w, table=table)
         if self.style == "fe":
-            if "1" not in w:
-                return _Info(MEMBER, phi=enc, n=n, suffix=w, pk=True, table=table)
-            if w[0] == "1":  # 10y and 11x layers
-                return _Info(MEMBER, phi=enc, n=n, suffix=w, table=table)
-            zeros = n + 2 - len(w.lstrip("0"))
-            level = n + 2 - zeros
-            if "0" not in w[zeros:] and 1 <= level <= self.k - 2:
+            level = len(w.lstrip("0"))  # antenna suffixes are 0^(n+2-level) 1^level
+            if "0" not in w[n + 2 - level:] and 1 <= level <= self.k - 2:
                 return _Info(ANTENNA, phi=enc, n=n, suffix=w, level=level, table=table)
-            return _OTHER_INFO
-        if self.style == "taut":
-            if "1" not in w or w == "10" + "0" * n or w[:2] == "11":
-                pk = "1" not in w
-                return _Info(MEMBER, phi=enc, n=n, suffix=w, pk=pk, table=table)
-            return _OTHER_INFO
-        # sat
-        if ("1" not in w or w[:2] == "10"
-                or w == "11" + "0" * n or w == "00" + "1" * n or w == "1" * (n + 2)):
-            pk = "1" not in w
-            return _Info(MEMBER, phi=enc, n=n, suffix=w, pk=pk, table=table)
         return _OTHER_INFO
 
     # -- selection ---------------------------------------------------------
 
     def select(self, x, y):
+        if isinstance(x, str) and isinstance(y, str) and len(x) == len(y):
+            ix = self.classify(x)  # classify validates the strings
+            iy = self.classify(y)
+            return x if x == y else self._winner(x, ix, y, iy)
         check_bits(x)
         check_bits(y)
-        if len(x) != len(y):
-            return x if len(x) < len(y) else y
-        if x == y:
-            return x
-        return self._winner(x, self.classify(x), y, self.classify(y))
+        return x if len(x) < len(y) else y
 
     def _winner(self, x, ix, y, iy):
         """The first guard row that fires on the pair decides it."""
@@ -491,19 +472,11 @@ def select(spec: TournamentFamilySpecifier, x: str, y: str) -> str:
 # Induced graphs and kingship
 # ---------------------------------------------------------------------------
 
-def induced_graph(spec, m: int, node_cap: int = DEFAULT_NODE_CAP) -> ExplicitDigraph:
+def induced_graph(spec, m: int) -> ExplicitDigraph:
     """Materialize the length-m member of the family, labels = bit-strings."""
     count = 1 << m
-    check_node_cap(count, node_cap)
+    check_node_cap(count)
     names = [int_to_bits(v, m) for v in range(count)]
-    if isinstance(spec, GraphFamilySpecifier):
-        g = ExplicitDigraph(count, labels=names)
-        edge = spec.edge
-        for i, x in enumerate(names):
-            for j, y in enumerate(names):
-                if i != j and edge(x, y):
-                    g.add_edge(i, j)
-        return g
     rows = [bytearray(count) for _ in range(count)]
     if isinstance(spec, WeaveSpecifier):
         infos = [spec.classify(z) for z in names]
@@ -531,8 +504,7 @@ def induced_graph(spec, m: int, node_cap: int = DEFAULT_NODE_CAP) -> ExplicitDig
     return ExplicitDigraph.from_adjacency(adj.astype(bool), labels=names)
 
 
-def specifier_k_king(spec: TournamentFamilySpecifier, z: str, k: int,
-                     node_cap: int = DEFAULT_NODE_CAP) -> bool:
+def specifier_k_king(spec: TournamentFamilySpecifier, z: str, k: int) -> bool:
     """Is z a k-king of the induced tournament at its own length?
 
     A breadth-first search on demand, via select calls only: step i finds
@@ -543,7 +515,7 @@ def specifier_k_king(spec: TournamentFamilySpecifier, z: str, k: int,
     if k < 1:
         raise ValueError("k must be at least 1")
     m = len(z)
-    check_node_cap(1 << m, node_cap)
+    check_node_cap(1 << m)
     sel = spec.select
     frontier = [z]
     unreached = [w for w in all_bits(m) if w != z]
@@ -603,8 +575,8 @@ class SpecifierValidation:
 _WITNESS_CAP = 20
 
 
-def validate_specifier(spec, m: int, sample: Optional[int] = None, seed: int = 0,
-                       pair_budget: int = DEFAULT_PAIR_BUDGET) -> SpecifierValidation:
+def validate_specifier(spec, m: int, sample: Optional[int] = None,
+                       seed: int = 0) -> SpecifierValidation:
     """Check the specifier axioms at length m, exhaustively or by sampling.
 
     For the weave built-ins this also audits guard uniqueness: exactly one
@@ -618,8 +590,9 @@ def validate_specifier(spec, m: int, sample: Optional[int] = None, seed: int = 0
 
     if sample is None:
         total_pairs = count * (count - 1) // 2
-        if total_pairs > pair_budget:
-            raise CapExceeded(f"{total_pairs} pairs exceeds the budget {pair_budget}")
+        if total_pairs > DEFAULT_PAIR_BUDGET:
+            raise CapExceeded(
+                f"{total_pairs} pairs exceeds the budget {DEFAULT_PAIR_BUDGET}")
         pair_iter = combinations_with_replacement(
             [int_to_bits(v, m) for v in range(count)], 2)
     else:
@@ -697,9 +670,8 @@ class AssociativityReport:
         return out
 
 
-def check_associativity(spec, m: int, sample: Optional[int] = None, seed: int = 0,
-                        triple_budget: int = DEFAULT_TRIPLE_BUDGET,
-                        node_cap: int = DEFAULT_NODE_CAP) -> AssociativityReport:
+def check_associativity(spec, m: int, sample: Optional[int] = None,
+                        seed: int = 0) -> AssociativityReport:
     """Probe f(x, f(y, z)) == f(f(x, y), z) at length m.
 
     Exhaustive mode proves associativity at that length and then checks the
@@ -718,8 +690,9 @@ def check_associativity(spec, m: int, sample: Optional[int] = None, seed: int = 
     def triples():
         if sample is None:
             total = count ** 3
-            if total > triple_budget:
-                raise CapExceeded(f"{total} triples exceeds the budget {triple_budget}")
+            if total > DEFAULT_TRIPLE_BUDGET:
+                raise CapExceeded(
+                    f"{total} triples exceeds the budget {DEFAULT_TRIPLE_BUDGET}")
             for xv in range(count):
                 x = int_to_bits(xv, m)
                 for yv in range(count):
@@ -748,7 +721,7 @@ def check_associativity(spec, m: int, sample: Optional[int] = None, seed: int = 
             return report
     if sample is None:
         report.associative = True
-        graph = induced_graph(spec, m, node_cap)
+        graph = induced_graph(spec, m)
         kings = sorted(all_k_kings(graph, 2))
         report.king_count = len(kings)
         if len(kings) == 1:

@@ -182,7 +182,23 @@ def test_gw_k_king():
 
 def test_gw_cap():
     with pytest.raises(CapExceeded):
-        gw_materialize(SuccinctGraph(3, const_circuit(6, 1)), node_cap=4)
+        gw_materialize(SuccinctGraph(14, const_circuit(28, 1)))
+
+
+def _never_queried(*args):
+    raise AssertionError("the edge table was queried past the cap")
+
+
+def test_table_builders_refuse_before_querying():
+    with pytest.raises(CapExceeded):
+        table_to_circuit(10, _never_queried)
+    with pytest.raises(CapExceeded):
+        jt_table_to_circuit(2, 10, _never_queried)
+    with pytest.raises(CapExceeded):
+        jt_table_to_circuit(5, 8, _never_queried)
+    # the largest sizes within the cap: 512 * 511 and 512 * 512 queries
+    assert table_to_circuit(9, lambda x, y: False).n == 9
+    assert jt_table_to_circuit(2, 9, lambda i, s, i2, s2: False).n == 9
 
 
 # ---------------------------------------------------------------------------

@@ -77,11 +77,15 @@ def test_spec_validate(capsys):
     code, out, _ = run(capsys, "spec", "validate", "--spec", "conp:ttplain",
                        "--m", "8")
     assert code == 0 and "pass" in out
+    code, _, err = run(capsys, "spec", "validate", "--spec", "max", "--m", "14")
+    assert code == 3 and "budget" in err
 
 
 def test_spec_assoc(capsys):
     code, out, _ = run(capsys, "spec", "assoc", "--spec", "max", "--m", "4")
     assert code == 0 and "associative=True" in out
+    code, _, err = run(capsys, "spec", "assoc", "--spec", "max", "--m", "8")
+    assert code == 3 and "budget" in err
 
 
 def test_reduce(capsys):
@@ -116,6 +120,17 @@ def test_reduce_over_the_variable_cap(capsys):
     assert code == 3 and "cap" in err
     code, out, _ = run(capsys, "reduce", "--kind", "conp", "--formula", "vars=13: x1")
     assert code == 0 and "node 00000001" in out and "expected false" in out
+
+
+def test_reduce_and_lift_over_the_query_cap(tmp_path, capsys):
+    # 1024 * 1023 ordered edge queries are refused before the first one
+    code, _, err = run(capsys, "reduce", "--kind", "onekings", "--formula", "vars=9: x1")
+    assert code == 3 and "cap" in err
+    circ = tmp_path / "c.txt"
+    circ.write_text("inputs 20\ng0 CONST 1\noutput g0\n")
+    code, _, err = run(capsys, "mpt", "lift-k", "--circuit", str(circ),
+                       "--j", "2", "--n", "9", "--node", "1:" + "0" * 9)
+    assert code == 3 and "cap" in err
 
 
 def test_reduce_huge_universal_block_does_not_crash(capsys):

@@ -207,7 +207,24 @@ def test_graph_text_roundtrip():
 def test_graph_text_errors():
     with pytest.raises(GraphParseError):
         parse_graph_text("edge 0 1\n")  # missing node count
-    with pytest.raises(GraphParseError):
-        parse_graph_text("nodes 2\nedge 0 0\n")  # self-loop
+    with pytest.raises(GraphParseError, match="self-loops are not allowed"):
+        parse_graph_text("nodes 2\nedge 0 0\n")
+    with pytest.raises(GraphParseError, match="node 2 not in graph of 2 nodes"):
+        parse_graph_text("nodes 2\nedge 0 2\n")
+    with pytest.raises(GraphParseError, match="node -1 not in graph of 2 nodes"):
+        parse_graph_text("nodes 2\nedge -1 0\n")
     with pytest.raises(GraphParseError):
         parse_graph_text("nodes 2\nfrobnicate\n")
+
+
+def test_adjacency_is_read_only():
+    rng = random.Random(3)
+    source = [[False, True], [False, False]]
+    graphs = [ExplicitDigraph(2), ExplicitDigraph.from_edges(2, [(0, 1)]),
+              ExplicitDigraph.from_adjacency(source), next(enumerate_tournaments(2)),
+              random_digraph(rng, 2), random_multipartite_tournament(rng, 2, 1).graph]
+    for g in graphs:
+        before = g.adj.copy()
+        with pytest.raises(ValueError):
+            g.adj[1, 0] = not before[1, 0]
+        assert (g.adj == before).all()

@@ -168,6 +168,17 @@ def test_select_guard_examples():
     assert spec.select(other_a, other_b) == other_a
 
 
+@pytest.mark.parametrize("name", ["pi2", "conp", "np"])
+def test_weave_select_rejects_non_bit_strings(name):
+    spec = make_builtin_specifier(name)
+    for x, y in (("0120", "0000"), ("0000", "0a00"), ("0a0", "0a0"), ("01", "000x"),
+                 ("1", 1), (5, "0"), (["0"], ["1"]), (None, None)):
+        with pytest.raises(ValueError):
+            spec.select(x, y)
+        with pytest.raises(ValueError):
+            spec.select(y, x)
+
+
 def test_np_special_node_dominates_all_but_one():
     spec = np_specifier()
     m = 9
@@ -203,8 +214,9 @@ def test_validate_catches_broken_specifier():
 
 
 def test_validate_budget():
+    # 2**14 strings make 134M pairs against the 2**26 budget: refused at once
     with pytest.raises(CapExceeded):
-        validate_specifier(max_specifier(), 6, pair_budget=10)
+        validate_specifier(max_specifier(), 14)
 
 
 @pytest.mark.parametrize("k", [4, 5])
@@ -325,7 +337,7 @@ def test_induced_weaves_are_tournaments():
 
 def test_induced_graph_cap():
     with pytest.raises(CapExceeded):
-        induced_graph(max_specifier(), 9, node_cap=256)
+        induced_graph(max_specifier(), 14)
 
 
 def test_induced_edges_follow_select():
@@ -338,14 +350,6 @@ def test_induced_edges_follow_select():
                 continue
             x, y = g.label_of(i), g.label_of(j)
             assert g.has_edge(i, j) == (spec.select(x, y) == x)
-
-
-def test_graph_family_specifier():
-    from kings.specifier import GraphFamilySpecifier
-    spec = GraphFamilySpecifier("lt", lambda x, y: x < y)
-    g = induced_graph(spec, 2)
-    assert check_tournament(g)
-    assert g.has_edge(0, 3) and not g.has_edge(3, 0)
 
 
 def test_specifier_k_king_examples():
