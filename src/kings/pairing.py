@@ -51,8 +51,3 @@ def unpair(version: Pairing, s: str) -> Optional[Tuple[str, str]]:
         xs.append(s[i + 1])
         i += 2
     return None
-
-
-def pair_length(version: Pairing, x_len: int, y_len: int) -> int:
-    extra = 1 if version is Pairing.V1 else 2
-    return 2 * x_len + extra + y_len

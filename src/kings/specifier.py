@@ -27,13 +27,24 @@ optional condition.  ``select`` takes the first row that fires on a pair;
 ``validate_specifier`` counts every row that fires and reports pairs with
 none (gaps) or several (overlaps).  No gap and no overlap at any length is
 what makes the rule well defined, commutative and selecting.
+
+Core/leftover split.  Almost every string is a leftover (class OTHER; 177
+of 8192 at kkings:3 m=13 are not).  The class dispatch built from
+``GUARDS`` is checked once, at import: every cell with one OTHER side must
+hold exactly one unconditional row, which gives each class a constant
+result against leftovers, and the OTHER x OTHER cell must hold only the
+declared strict order ``_smaller_wins``, which decides each leftover pair
+exactly once by trichotomy.  So ``induced_graph`` starts from the strict
+upper triangle, writes each core row and column from its class's constant
+and calls the guards only on core x core pairs, and the exhaustive guard
+audit in ``validate_specifier`` walks only core x core pairs.
 """
 
 from __future__ import annotations
 
 import random
 from functools import lru_cache
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement
 from dataclasses import dataclass, field
 from typing import List, Optional
 
@@ -203,6 +214,11 @@ def _chain_step(s, z, iz, w, iw):
     return iw.phi == iz.phi and iw.level == iz.level - 1
 
 
+def _smaller_wins(s, z, iz, w, iw):
+    """A declared strict order: the dispatch check trusts it by identity."""
+    return z < w
+
+
 # (name, winner classes, loser classes, condition or None).  A row fires on
 # an ordered pair (z, w) of distinct same-length strings when z's class is a
 # winner class, w's class a loser class and condition(spec, z, iz, w, iw)
@@ -237,23 +253,45 @@ GUARDS = (
      and not (iz.phi == iw.phi and iw.level == iz.level + 1)),
     ("g16", (ANTENNA,), (OTHER,), None),
     # leftovers: lexicographically smaller wins
-    ("g17", (OTHER,), (OTHER,), lambda s, z, iz, w, iw: z < w),
+    ("g17", (OTHER,), (OTHER,), _smaller_wins),
 )
 
 
-def _build_dispatch():
-    """cell [cx][cy]: the rows that can fire on (x, y), in table order, as
-    (name, condition, x_wins); each row appears once per orientation."""
+def _build_dispatch(guards):
+    """The class dispatch of a guard table and each class's result against
+    leftovers.
+
+    cell [cx][cy]: the rows that can fire on (x, y), in table order, as
+    (name, condition, x_wins); each row appears once per orientation.
+    ``beats_other[c]`` says whether a class-c string beats every leftover.
+    Raises ValueError unless every cell with one OTHER side holds exactly
+    one unconditional row and the OTHER x OTHER cell holds only the two
+    orientations of one ``_smaller_wins`` row (any row there has both).
+    """
     cells = [[[] for _ in range(7)] for _ in range(7)]
-    for name, winners, losers, cond in GUARDS:
+    for name, winners, losers, cond in guards:
         for cz in winners:
             for cw in losers:
                 cells[cz][cw].append((name, cond, True))
                 cells[cw][cz].append((name, cond, False))
-    return tuple(tuple(map(tuple, row)) for row in cells)
+    dispatch = tuple(tuple(map(tuple, row)) for row in cells)
+    beats_other = [None] * 7
+    for c in range(7):
+        if c == OTHER:
+            continue
+        cell = dispatch[c][OTHER]
+        if len(cell) != 1 or cell[0][1] is not None:
+            raise ValueError(f"cell {_CATEGORY_NAMES[c]} x other needs exactly one "
+                             f"unconditional row, has {[row[0] for row in cell]}")
+        beats_other[c] = cell[0][2]
+    cell = dispatch[OTHER][OTHER]
+    if len(cell) != 2 or any(cond is not _smaller_wins for _, cond, _ in cell):
+        raise ValueError("cell other x other needs exactly one _smaller_wins row, "
+                         f"has {[row[0] for row in cell]}")
+    return dispatch, tuple(beats_other)
 
 
-_DISPATCH = _build_dispatch()
+_DISPATCH, _BEATS_OTHER = _build_dispatch(GUARDS)
 
 
 # ---------------------------------------------------------------------------
@@ -282,18 +320,6 @@ class MaxSpecifier(TournamentFamilySpecifier):
         if len(x) != len(y):
             return x if len(x) < len(y) else y
         return x if x >= y else y
-
-
-class FunctionSpecifier(TournamentFamilySpecifier):
-    """In-code extension point: wrap any two-argument selection rule."""
-
-    def __init__(self, name, fn, has_cross_length_rule=False):
-        self.name = name
-        self._fn = fn
-        self.has_cross_length_rule = has_cross_length_rule
-
-    def select(self, x, y):
-        return self._fn(x, y)
 
 
 class WeaveSpecifier(TournamentFamilySpecifier):
@@ -473,33 +499,43 @@ def select(spec: TournamentFamilySpecifier, x: str, y: str) -> str:
 # ---------------------------------------------------------------------------
 
 def induced_graph(spec, m: int) -> ExplicitDigraph:
-    """Materialize the length-m member of the family, labels = bit-strings."""
+    """Materialize the length-m member of the family, labels = bit-strings.
+
+    For the weaves only core x core pairs go through the guards: leftover
+    pairs follow the strict upper triangle (the smaller string wins) and a
+    core string's row and column hold its class's result against leftovers.
+    """
     count = 1 << m
     check_node_cap(count)
     names = [int_to_bits(v, m) for v in range(count)]
-    rows = [bytearray(count) for _ in range(count)]
     if isinstance(spec, WeaveSpecifier):
         infos = [spec.classify(z) for z in names]
+        core = [i for i, info in enumerate(infos) if info.cls != OTHER]
+        ids = np.arange(count)
+        adj = ids[:, None] < ids[None, :]  # g17: the smaller leftover wins
+        for i in core:
+            beats = _BEATS_OTHER[infos[i].cls]
+            adj[i, :] = beats
+            adj[:, i] = not beats
+            adj[i, i] = False
         winner = spec._winner
-        for i in range(count):
-            x = names[i]
-            ix = infos[i]
-            row_i = rows[i]
-            for j in range(i + 1, count):
-                if winner(x, ix, names[j], infos[j]) is x:
-                    row_i[j] = 1
-                else:
-                    rows[j][i] = 1
-    else:
-        sel = spec.select
-        for i in range(count):
-            x = names[i]
-            row_i = rows[i]
-            for j in range(i + 1, count):
-                if sel(x, names[j]) == x:
-                    row_i[j] = 1
-                else:
-                    rows[j][i] = 1
+        for a, i in enumerate(core):
+            x, ix = names[i], infos[i]
+            for j in core[a + 1:]:
+                x_wins = winner(x, ix, names[j], infos[j]) is x
+                adj[i, j] = x_wins
+                adj[j, i] = not x_wins
+        return ExplicitDigraph.from_adjacency(adj, labels=names)
+    rows = [bytearray(count) for _ in range(count)]
+    sel = spec.select
+    for i in range(count):
+        x = names[i]
+        row_i = rows[i]
+        for j in range(i + 1, count):
+            if sel(x, names[j]) == x:
+                row_i[j] = 1
+            else:
+                rows[j][i] = 1
     adj = np.frombuffer(b"".join(rows), dtype=np.uint8).reshape(count, count)
     return ExplicitDigraph.from_adjacency(adj.astype(bool), labels=names)
 
@@ -580,8 +616,10 @@ def validate_specifier(spec, m: int, sample: Optional[int] = None,
     """Check the specifier axioms at length m, exhaustively or by sampling.
 
     For the weave built-ins this also audits guard uniqueness: exactly one
-    guard may claim each pair.  Built-ins additionally get their fixed
-    cross-length rule probed on mixed-length samples.
+    guard may claim each pair.  A pair with a leftover side is settled by
+    the dispatch check made at import, so it counts as checked but only
+    core x core pairs go through the guards.  Built-ins additionally get
+    their fixed cross-length rule probed on mixed-length samples.
     """
     count = 1 << m
     mode = "exhaustive" if sample is None else f"sampled({sample},seed={seed})"
@@ -593,8 +631,8 @@ def validate_specifier(spec, m: int, sample: Optional[int] = None,
         if total_pairs > DEFAULT_PAIR_BUDGET:
             raise CapExceeded(
                 f"{total_pairs} pairs exceeds the budget {DEFAULT_PAIR_BUDGET}")
-        pair_iter = combinations_with_replacement(
-            [int_to_bits(v, m) for v in range(count)], 2)
+        names = [int_to_bits(v, m) for v in range(count)]
+        pair_iter = combinations_with_replacement(names, 2)
     else:
         pair_iter = ((int_to_bits(rng.randrange(count), m),
                       int_to_bits(rng.randrange(count), m)) for _ in range(sample))
@@ -602,10 +640,12 @@ def validate_specifier(spec, m: int, sample: Optional[int] = None,
     if isinstance(spec, WeaveSpecifier):
         fired = spec._guards_firing
         classify = spec.classify
+        if sample is None:
+            report.pairs_checked = count * (count + 1) // 2
+            pair_iter = combinations([z for z in names if classify(z).cls != OTHER], 2)
+        else:
+            pair_iter = _core_pairs(report, pair_iter, classify)
         for x, y in pair_iter:
-            report.pairs_checked += 1
-            if x == y:
-                continue
             matches = fired(x, classify(x), y, classify(y))
             if len(matches) == 0 and len(report.guard_gaps) < _WITNESS_CAP:
                 report.guard_gaps.append((x, y))
@@ -631,6 +671,14 @@ def validate_specifier(spec, m: int, sample: Optional[int] = None,
                 if len(report.cross_length_violations) < _WITNESS_CAP:
                     report.cross_length_violations.append((x, y))
     return report
+
+
+def _core_pairs(report, pairs, classify):
+    """Count every drawn pair; yield the distinct ones with no leftover side."""
+    for x, y in pairs:
+        report.pairs_checked += 1
+        if x != y and classify(x).cls != OTHER and classify(y).cls != OTHER:
+            yield x, y
 
 
 def _check_select(report, spec, x, y):

@@ -5,8 +5,6 @@ Each test runs the relevant verification suites, prints one pass/fail line
 within the stated wall-clock budget.
 """
 
-import pytest
-
 from kings.reductions import verify_suite
 
 
@@ -75,7 +73,6 @@ def test_criterion_12_max_family_associativity():
     _run(12, 10, ["assoc-max"])
 
 
-@pytest.mark.slow
 def test_tautology_weave_at_length_13():
     # beyond the acceptance gate: the same weave checks on 8192 nodes
     _run(0, 900, ["weave-conp:m=13"])

@@ -1,14 +1,17 @@
 import hashlib
 import random
+from itertools import combinations_with_replacement
 
 import numpy as np
 import pytest
 
+from kings import specifier as S
 from kings.bitstrings import all_bits, int_to_bits
 from kings.digraph import check_tournament, is_k_king
 from kings.formula import (
     ForallExistsFormula,
     TTFECodec,
+    TTPlainCodec,
     decode_formula,
     formula_from_table,
     parse_formula_input,
@@ -16,8 +19,12 @@ from kings.formula import (
 from kings.limits import CapExceeded
 from kings.pairing import Pairing, pair, unpair
 from kings.specifier import (
+    GUARDS,
+    MEMBER,
     OTHER,
-    FunctionSpecifier,
+    SpecifierValidation,
+    TournamentFamilySpecifier,
+    WeaveSpecifier,
     build_subtournament,
     check_associativity,
     classify_node,
@@ -206,9 +213,15 @@ def test_validate_small_weaves():
         assert report.passed, report.summary()
 
 
+class _AlwaysFirst(TournamentFamilySpecifier):
+    name = "always-first"
+
+    def select(self, x, y):
+        return x
+
+
 def test_validate_catches_broken_specifier():
-    broken = FunctionSpecifier("always-first", lambda x, y: x)
-    report = validate_specifier(broken, 3)
+    report = validate_specifier(_AlwaysFirst(), 3)
     assert not report.passed
     assert report.commutativity_violations
 
@@ -217,6 +230,104 @@ def test_validate_budget():
     # 2**14 strings make 134M pairs against the 2**26 budget: refused at once
     with pytest.raises(CapExceeded):
         validate_specifier(max_specifier(), 14)
+
+
+_WEAVES = ["pi2", "conp", "np", "kkings:3"]
+
+
+def _reference_validation(spec, m, sample=None, seed=0):
+    """The full pair walk: every drawn pair, leftover or not, goes through
+    the guards, with the pair order and RNG draws of validate_specifier."""
+    count = 1 << m
+    mode = "exhaustive" if sample is None else f"sampled({sample},seed={seed})"
+    report = SpecifierValidation(spec=spec.name, m=m, mode=mode)
+    rng = random.Random(seed)
+    if sample is None:
+        pairs = combinations_with_replacement(list(all_bits(m)), 2)
+    else:
+        pairs = ((int_to_bits(rng.randrange(count), m),
+                  int_to_bits(rng.randrange(count), m)) for _ in range(sample))
+    for x, y in pairs:
+        report.pairs_checked += 1
+        if x == y:
+            continue
+        fired = spec._guards_firing(x, spec.classify(x), y, spec.classify(y))
+        if not fired and len(report.guard_gaps) < 20:
+            report.guard_gaps.append((x, y))
+        elif len(fired) > 1 and len(report.guard_overlaps) < 20:
+            report.guard_overlaps.append((x, y, tuple(fired)))
+    for _ in range(min(2000, count * 4)):
+        S._check_select(report, spec, int_to_bits(rng.randrange(count), m),
+                        int_to_bits(rng.randrange(count), m))
+    for _ in range(256 if m >= 2 else 0):
+        l1 = rng.randrange(1, m)
+        l2 = rng.randrange(l1 + 1, m + 1)
+        x = int_to_bits(rng.randrange(1 << l1), l1)
+        y = int_to_bits(rng.randrange(1 << l2), l2)
+        report.cross_length_checked += 1
+        if spec.select(x, y) != x or spec.select(y, x) != x:
+            if len(report.cross_length_violations) < 20:
+                report.cross_length_violations.append((x, y))
+    return report
+
+
+@pytest.mark.parametrize("name", _WEAVES)
+def test_core_audit_matches_the_full_pair_walk(name):
+    spec = make_builtin_specifier(name)
+    for m in range(11):
+        got = validate_specifier(spec, m)
+        want = _reference_validation(spec, m)
+        assert got == want and got.summary() == want.summary(), (name, m)
+
+
+class _LopsidedWeave(WeaveSpecifier):
+    """A weave whose public select ignores the guards and keeps its first
+    argument on pairs with an odd number of ones, so that the spot-check and
+    cross-length witnesses depend on every RNG draw before them."""
+
+    def select(self, x, y):
+        return x if (x + y).count("1") % 2 or x < y else y
+
+
+_TABLES = {
+    "as-is": GUARDS,
+    "overlap": GUARDS + (("gx", (MEMBER,), (MEMBER,), None),),
+    "gap": tuple(row for row in GUARDS if row[0] != "g10"),
+}
+
+
+@pytest.mark.parametrize("table", sorted(_TABLES))
+def test_core_audit_reports_like_the_full_pair_walk(table, monkeypatch):
+    monkeypatch.setattr(S, "_DISPATCH", S._build_dispatch(_TABLES[table])[0])
+    for style, m, sample in (("taut", 8, None), ("taut", 8, 5000), ("sat", 9, 5000)):
+        spec = _LopsidedWeave(style, TTPlainCodec(), name="lopsided")
+        got = validate_specifier(spec, m, sample=sample, seed=3)
+        want = _reference_validation(spec, m, sample, seed=3)
+        assert got == want and got.summary() == want.summary(), (style, m, sample)
+        assert got.commutativity_violations and got.cross_length_violations
+        assert bool(got.guard_overlaps) == (table == "overlap")
+        assert bool(got.guard_gaps) == (table == "gap")
+
+
+def _always(s, z, iz, w, iw):
+    return True
+
+
+@pytest.mark.parametrize("guards", [
+    GUARDS + (("gx", (MEMBER,), (OTHER,), _always),),  # conditional row added
+    tuple(row[:3] + (_always,) if row[0] == "g16" else row for row in GUARDS),
+    GUARDS + (("gx", (OTHER,), (MEMBER,), None),),  # second row in a cell
+    tuple(row for row in GUARDS if row[0] != "g7"),  # member x other empty
+    GUARDS[:-1] + (("g17", (OTHER,), (OTHER,), lambda s, z, iz, w, iw: z < w),),
+], ids=["conditional-added", "conditional-only", "two-rows", "no-row",
+        "undeclared-order"])
+def test_dispatch_refuses_a_leftover_cell_it_cannot_settle(guards):
+    with pytest.raises(ValueError):
+        S._build_dispatch(guards)
+
+
+def test_every_class_beats_leftovers():
+    assert all(S._BEATS_OTHER[c] for c in range(7) if c != OTHER)
 
 
 @pytest.mark.parametrize("k", [4, 5])
@@ -274,6 +385,48 @@ def test_weave_adjacency_is_pinned(name, m):
             if ix.cls != OTHER or iy.cls != OTHER:
                 out.append(49 if spec._winner(x, ix, names[j], iy) is x else 48)
     assert hashlib.sha256(bytes(out)).hexdigest() == _ADJACENCY_DIGESTS[name, m]
+
+
+@pytest.mark.parametrize("name,m", sorted(_ADJACENCY_DIGESTS))
+def test_induced_weave_adjacency_is_pinned(name, m):
+    spec = make_builtin_specifier(name)
+    g = induced_graph(spec, m)
+    adj = g.adj
+    other = np.array([spec.classify(z).cls == OTHER for z in g.labels])
+    core = np.flatnonzero(~other)
+    leftovers = np.flatnonzero(other)
+    out = bytearray()
+    for i in range(len(other)):
+        row = adj[i, i + 1:] if not other[i] else adj[i, core[core > i]]
+        out += (row.view(np.uint8) + 48).tobytes()
+    assert hashlib.sha256(bytes(out)).hexdigest() == _ADJACENCY_DIGESTS[name, m]
+    # leftover against leftover: the smaller string wins
+    for a, i in enumerate(leftovers):
+        assert not adj[i, leftovers[:a]].any() and adj[i, leftovers[a + 1:]].all()
+
+
+def _pairwise_adjacency(spec, m):
+    """The per-pair walk: every same-length pair goes through the guards."""
+    count = 1 << m
+    names = [int_to_bits(v, m) for v in range(count)]
+    infos = [spec.classify(z) for z in names]
+    rows = [bytearray(count) for _ in range(count)]
+    for i in range(count):
+        x, ix = names[i], infos[i]
+        for j in range(i + 1, count):
+            if spec._winner(x, ix, names[j], infos[j]) is x:
+                rows[i][j] = 1
+            else:
+                rows[j][i] = 1
+    return np.frombuffer(b"".join(rows), dtype=np.uint8).reshape(count, count).astype(bool)
+
+
+@pytest.mark.parametrize("name", _WEAVES)
+def test_induced_weave_matches_the_pair_walk(name):
+    # every m <= 10, which covers the conp m=8 and np m=9 suites
+    spec = make_builtin_specifier(name)
+    for m in range(11):
+        assert np.array_equal(induced_graph(spec, m).adj, _pairwise_adjacency(spec, m)), m
 
 
 # ---------------------------------------------------------------------------
