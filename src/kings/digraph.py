@@ -1,10 +1,20 @@
 """Explicit directed graphs: k-king decision, king finding, recognizers.
 
 Graphs are simple (no self-loops) and stored as a dense boolean adjacency
-matrix, which keeps depth-bounded reachability on multi-thousand-node
-materializations fast: a 2-king check is one row read plus one sweep over
-the out-neighborhood rows.  Graphs are built once from a whole matrix and
-are immutable: the stored adjacency is read-only.
+matrix.  Graphs are built once from a whole matrix and are immutable: the
+stored adjacency is read-only.  No graph has more than
+``limits.DEFAULT_NODE_CAP`` nodes; the cap is checked before any matrix is
+allocated.
+
+Depth-bounded reachability is one kernel over a frontier matrix.  Sources
+are taken in blocks of rows.  A step grows every live row of a block by the
+product of its frontier with the adjacency matrix, in float32 and one panel
+of columns at a time; a block with a single live row is grown by gathering
+the adjacency rows of its frontier instead.  A row leaves its block as soon
+as it reaches every node or stops growing, so any depth ends within n
+steps.  Block and panel sizes follow from the node count under one byte
+budget.  Products of 0/1 matrices are exact in float32 up to 2**24 nodes,
+far above the node cap, and ``> 0`` reads them as reachability.
 """
 
 from __future__ import annotations
@@ -16,17 +26,24 @@ from typing import Iterator, List, Optional, Sequence, Set
 
 import numpy as np
 
+from .limits import check_node_cap
+
 
 class GraphParseError(ValueError):
     pass
+
+
+def _check_node_count(num_nodes: int) -> None:
+    if num_nodes < 1:
+        raise ValueError("a graph has at least one node")
+    check_node_cap(num_nodes)
 
 
 class ExplicitDigraph:
     """Dense-node digraph with optional string labels."""
 
     def __init__(self, num_nodes: int, labels: Optional[Sequence[str]] = None):
-        if num_nodes < 1:
-            raise ValueError("a graph has at least one node")
+        _check_node_count(num_nodes)
         self._adj = np.zeros((num_nodes, num_nodes), dtype=bool)
         self._adj.flags.writeable = False
         self._labels = None
@@ -42,8 +59,7 @@ class ExplicitDigraph:
 
     @classmethod
     def from_edges(cls, num_nodes, edges, labels=None):
-        if num_nodes < 1:
-            raise ValueError("a graph has at least one node")
+        _check_node_count(num_nodes)
         adj = np.zeros((num_nodes, num_nodes), dtype=bool)
         for u, v in edges:
             for w in (u, v):
@@ -157,21 +173,84 @@ class MultipartiteTournament:
 # Kingship
 # ---------------------------------------------------------------------------
 
+# float32 bytes one operand of a frontier product may hold: a block of
+# frontier rows or a panel of adjacency columns, each n entries long.  At
+# n = 2048 that is 256 rows and 256 columns.
+_OPERAND_BYTES = 1 << 21
+
+
+def _block_size(n: int) -> int:
+    """Sources per block and adjacency columns per panel on n nodes: 64 or
+    more below the node cap."""
+    return min(n, _OPERAND_BYTES // (4 * n))
+
+
+def _grow(adj: np.ndarray, frontier: np.ndarray) -> np.ndarray:
+    """Nodes one edge beyond each row of the frontier matrix."""
+    if len(frontier) == 1:
+        return adj[frontier[0]].any(axis=0, keepdims=True)
+    width = _block_size(adj.shape[0])
+    rows = frontier.astype(np.float32)
+    grown = np.empty(frontier.shape, dtype=bool)
+    for c in range(0, adj.shape[0], width):
+        # the converted panel is dropped before the next one is made
+        np.greater(rows @ adj[:, c:c + width].astype(np.float32), 0,
+                   out=grown[:, c:c + width])
+    return grown
+
+
+def _reach_block(adj: np.ndarray, sources, k: int) -> np.ndarray:
+    """Row i marks the nodes sources[i] reaches by a path of length <= k."""
+    reach = np.zeros((len(sources), adj.shape[0]), dtype=bool)
+    live = np.arange(len(sources))
+    reach[live, sources] = True
+    if k < 1:
+        return reach
+    frontier = adj[sources]  # one edge from a single node is its row
+    reach |= frontier
+    # rows that leave are written back to done; until the first one leaves,
+    # reach is done itself, so a block holds one reach matrix, not two
+    done = reach
+    for _ in range(k - 1):
+        keep = frontier.any(axis=1) & ~reach.all(axis=1)
+        if not keep.all():
+            done[live[~keep]] = reach[~keep]
+            live, reach, frontier = live[keep], reach[keep], frontier[keep]
+            if not live.size:
+                return done
+        frontier = _grow(adj, frontier)
+        frontier &= ~reach
+        reach |= frontier
+    if reach is not done:
+        done[live] = reach
+    return done
+
+
 def reach_within(g: ExplicitDigraph, v: int, k: int) -> np.ndarray:
     """Boolean mask of the nodes reachable from v by a path of length <= k."""
     g._check_node(v)
-    adj = g.adj
-    reach = np.zeros(g.num_nodes, dtype=bool)
-    reach[v] = True
-    frontier = reach.copy()
-    for _ in range(k):
-        if reach.all():
-            break
-        frontier = adj[frontier].any(axis=0) & ~reach
-        if not frontier.any():
-            break
-        reach |= frontier
-    return reach
+    return _reach_block(g.adj, np.array([v]), k)[0]
+
+
+def k_king_mask(g: ExplicitDigraph, sources, k: int) -> np.ndarray:
+    """Entry i is True iff sources[i] reaches every node within k steps.
+
+    Sources go through the frontier kernel a block at a time, so no
+    len(sources) x n reach matrix is ever held.
+    """
+    if k < 1:
+        raise ValueError("k must be at least 1")
+    sources = np.asarray(sources, dtype=np.intp)
+    n = g.num_nodes
+    bad = sources[(sources < 0) | (sources >= n)]
+    if bad.size:
+        raise ValueError(f"node {bad[0]} not in graph of {n} nodes")
+    block = _block_size(n)
+    kings = np.zeros(len(sources), dtype=bool)
+    for start in range(0, len(sources), block):
+        rows = _reach_block(g.adj, sources[start:start + block], k)
+        kings[start:start + block] = rows.all(axis=1)
+    return kings
 
 
 def is_k_king(g: ExplicitDigraph, v: int, k: int) -> bool:
@@ -182,9 +261,8 @@ def is_k_king(g: ExplicitDigraph, v: int, k: int) -> bool:
 
 
 def all_k_kings(g: ExplicitDigraph, k: int) -> Set[int]:
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    return {v for v in range(g.num_nodes) if is_k_king(g, v, k)}
+    """The k-kings of g, from one pass of the frontier kernel over all nodes."""
+    return set(np.flatnonzero(k_king_mask(g, range(g.num_nodes), k)).tolist())
 
 
 def find_king_landau(t: ExplicitDigraph) -> int:
@@ -344,6 +422,7 @@ def parse_graph_text(text: str) -> ExplicitDigraph:
             if num is not None or len(parts) != 2:
                 raise GraphParseError(f"line {lineno}: bad nodes line")
             num = int(parts[1])
+            check_node_cap(num)  # before edges or labels are collected
         elif parts[0] == "edge":
             if num is None or len(parts) != 3:
                 raise GraphParseError(f"line {lineno}: bad edge line")

@@ -38,6 +38,7 @@ from .digraph import (
     enumerate_tournaments,
     find_king_landau,
     is_k_king,
+    k_king_mask,
     recognize_jpartite_direct,
     recognize_jpartite_patterns,
     reach_within,
@@ -438,24 +439,20 @@ def _suite_claim28(report, seed, sample):
         for bits in tables:
             phi = formula_from_table(n, bits)
             g = build_subtournament("conp", phi)
-            report.check("potential-king-vs-tautology",
-                         is_k_king(g, 0, 2) == is_tautology(phi),
-                         f"n={n} table={bits}")
-            low = g.node_index("10" + "0" * n)
-            report.check("second-layer-vs-phi-at-zero",
-                         is_k_king(g, low, 2) == eval_formula(phi, "0" * n),
-                         f"n={n} table={bits}")
+            where = f"n={n} table={bits}"
+            kings = [("potential-king-vs-tautology", 0, is_tautology(phi), where),
+                     ("second-layer-vs-phi-at-zero", g.node_index("10" + "0" * n),
+                      eval_formula(phi, "0" * n), where)]
             for x in all_bits(n):
-                king = is_k_king(g, g.node_index("11" + x), 2)
+                node = g.node_index("11" + x)
                 if "1" not in x:
-                    report.check("third-layer-zero-always-king", king,
-                                 f"n={n} table={bits}")
+                    kings.append(("third-layer-zero-always-king", node, True, where))
                     continue
                 claimed = (not eval_formula(phi, x)) and all(
                     eval_formula(phi, x2) for x2 in all_bits(n) if x2 < x)
-                report.check("third-layer-vs-first-falsifier",
-                             king == claimed,
-                             f"n={n} table={bits} x={x}")
+                kings.append(("third-layer-vs-first-falsifier", node, claimed,
+                              f"{where} x={x}"))
+            _check_kings(report, g, kings)
 
 
 def _suite_claim211(report, seed, sample):
@@ -468,23 +465,34 @@ def _suite_claim211(report, seed, sample):
         for bits in tables:
             phi = formula_from_table(n, bits)
             g = build_subtournament("np", phi)
-            report.check("potential-king-vs-satisfiable",
-                         is_k_king(g, 0, 2) == is_satisfiable(phi),
-                         f"n={n} table={bits}")
+            where = f"n={n} table={bits}"
+            kings = [("potential-king-vs-satisfiable", 0, is_satisfiable(phi), where)]
             for suffix in ("00" + "1" * n, "11" + "0" * n, "1" * (n + 2)):
-                report.check("side-nodes-always-kings",
-                             is_k_king(g, g.node_index(suffix), 2),
-                             f"n={n} table={bits} suffix={suffix}")
+                kings.append(("side-nodes-always-kings", g.node_index(suffix), True,
+                              f"{where} suffix={suffix}"))
             for x in all_bits(n):
-                report.check("assignment-nodes-never-kings",
-                             not is_k_king(g, g.node_index("10" + x), 2),
-                             f"n={n} table={bits} x={x}")
+                kings.append(("assignment-nodes-never-kings", g.node_index("10" + x), False,
+                              f"{where} x={x}"))
+            _check_kings(report, g, kings)
+
+
+def _check_kings(report, g, kings):
+    """Report each (check, node, expected 2-kingship, witness), deciding the
+    kingship of all the nodes in one frontier-kernel call."""
+    got = k_king_mask(g, [node for _, node, _, _ in kings], 2)
+    for (name, _, want, witness), king in zip(kings, got):
+        report.check(name, bool(king) == want, witness)
 
 
 # -- weave-level suites ------------------------------------------------------
 
 def _weave_common(report, spec, m, seed, other_sample):
-    """Shared structure checks for a formula weave at one length."""
+    """Shared structure checks for a formula weave at one length.
+
+    Returns the graph, the member ids of each formula, and the kingship
+    checks on leftovers and the all-zeros string, left for the suite to
+    decide together with its own.
+    """
     v = validate_specifier(spec, m)
     report.check("specifier-valid", v.passed, v.summary())
     g = induced_graph(spec, m)
@@ -518,77 +526,71 @@ def _weave_common(report, spec, m, seed, other_sample):
     rng = random.Random(seed)
     if other_sample is not None and len(others) > other_sample:
         others = rng.sample(others, other_sample)
-    for i in others:
-        report.check("leftovers-not-kings", not is_k_king(g, i, 2), names[i])
-    report.check("all-zeros-king", is_k_king(g, 0, 2), names[0])
-    return g, names, infos, members
+    kings = [("leftovers-not-kings", i, False, names[i]) for i in others]
+    kings.append(("all-zeros-king", 0, True, names[0]))
+    return g, members, kings
 
 
 def _suite_weave_pi2(report, seed, sample, m=12):
     spec = pi2_specifier()
-    g, names, infos, members = _weave_common(report, spec, m, seed,
-                                             other_sample=sample or 500)
-    encodings = sorted(members)
-    smallest = min(encodings)
-    for enc in encodings:
+    g, members, kings = _weave_common(report, spec, m, seed, other_sample=sample)
+    smallest = min(members)
+    for enc in sorted(members):
         fe = spec.codec.decode(enc)
-        truth = eval_forall_exists(fe)
-        node = g.node_index(pair(Pairing.V1, enc, "0" * (fe.n + 2)))
-        report.check("potential-king-vs-truth",
-                     is_k_king(g, node, 2) == truth, f"phi={enc}")
-        marker = g.node_index(pair(Pairing.V1, enc, "01" + "0" * fe.n))
-        report.check("marker-vs-lex-smallest",
-                     is_k_king(g, marker, 2) == (enc == smallest), f"phi={enc}")
+        kings.append(("potential-king-vs-truth",
+                      g.node_index(pair(Pairing.V1, enc, "0" * (fe.n + 2))),
+                      eval_forall_exists(fe), f"phi={enc}"))
+        kings.append(("marker-vs-lex-smallest",
+                      g.node_index(pair(Pairing.V1, enc, "01" + "0" * fe.n)),
+                      enc == smallest, f"phi={enc}"))
+    _check_kings(report, g, kings)
 
 
 def _suite_weave_conp(report, seed, sample, m):
     spec = conp_specifier()
     other_sample = None if m <= 10 else (sample or 500)
-    g, names, infos, members = _weave_common(report, spec, m, seed, other_sample)
-    encodings = sorted(members)
-    smallest = min(encodings)
-    for enc in encodings:
+    g, members, kings = _weave_common(report, spec, m, seed, other_sample)
+    smallest = min(members)
+    for enc in sorted(members):
         phi = spec.codec.decode(enc)
         n = phi.num_vars
-        node = g.node_index(pair(Pairing.V1, enc, "0" * (n + 2)))
-        report.check("potential-king-vs-tautology",
-                     is_k_king(g, node, 2) == is_tautology(phi), f"phi={enc}")
-        marker = g.node_index(pair(Pairing.V1, enc, "01" + "0" * n))
-        report.check("marker-vs-lex-smallest",
-                     is_k_king(g, marker, 2) == (enc == smallest), f"phi={enc}")
+        kings.append(("potential-king-vs-tautology",
+                      g.node_index(pair(Pairing.V1, enc, "0" * (n + 2))),
+                      is_tautology(phi), f"phi={enc}"))
+        kings.append(("marker-vs-lex-smallest",
+                      g.node_index(pair(Pairing.V1, enc, "01" + "0" * n)),
+                      enc == smallest, f"phi={enc}"))
         # kingship inside the weave matches kingship in the one-formula build
         sub = build_subtournament("conp", phi)
-        for suffix in sub.labels:
-            widx = g.node_index(pair(Pairing.V1, enc, suffix))
-            report.check("weave-matches-subtournament",
-                         is_k_king(g, widx, 2) == is_k_king(sub, sub.node_index(suffix), 2),
-                         f"phi={enc} suffix={suffix}")
+        for suffix, king in zip(sub.labels, k_king_mask(sub, range(sub.num_nodes), 2)):
+            kings.append(("weave-matches-subtournament",
+                          g.node_index(pair(Pairing.V1, enc, suffix)), bool(king),
+                          f"phi={enc} suffix={suffix}"))
+    _check_kings(report, g, kings)
 
 
 def _suite_weave_np(report, seed, sample, m=9):
     spec = np_specifier()
-    g, names, infos, members = _weave_common(report, spec, m, seed,
-                                             other_sample=None)
-    report.check("special-a-king", is_k_king(g, g.node_index("0" * (m - 1) + "1"), 2),
-                 "0^{m-1}1")
-    report.check("special-b-king", is_k_king(g, g.node_index("1" + "0" * (m - 1)), 2),
-                 "10^{m-1}")
+    g, members, kings = _weave_common(report, spec, m, seed, other_sample=None)
+    kings.append(("special-a-king", g.node_index("0" * (m - 1) + "1"), True, "0^{m-1}1"))
+    kings.append(("special-b-king", g.node_index("1" + "0" * (m - 1)), True, "10^{m-1}"))
     for enc in sorted(members):
         phi = spec.codec.decode(enc)
         n = phi.num_vars
-        node = g.node_index(pair(Pairing.V2, enc, "0" * (n + 2)))
-        report.check("potential-king-vs-satisfiable",
-                     is_k_king(g, node, 2) == is_satisfiable(phi), f"phi={enc}")
-        marker = g.node_index(pair(Pairing.V2, enc, "01" + "0" * n))
-        report.check("markers-never-kings", not is_k_king(g, marker, 2), f"phi={enc}")
+        kings.append(("potential-king-vs-satisfiable",
+                      g.node_index(pair(Pairing.V2, enc, "0" * (n + 2))),
+                      is_satisfiable(phi), f"phi={enc}"))
+        kings.append(("markers-never-kings",
+                      g.node_index(pair(Pairing.V2, enc, "01" + "0" * n)), False,
+                      f"phi={enc}"))
         for suffix in ("00" + "1" * n, "11" + "0" * n, "1" * (n + 2)):
-            idx = g.node_index(pair(Pairing.V2, enc, suffix))
-            report.check("side-nodes-always-kings", is_k_king(g, idx, 2),
-                         f"phi={enc} suffix={suffix}")
+            kings.append(("side-nodes-always-kings", g.node_index(pair(Pairing.V2, enc, suffix)),
+                          True, f"phi={enc} suffix={suffix}"))
         for x in all_bits(n):
-            idx = g.node_index(pair(Pairing.V2, enc, "10" + x))
-            report.check("assignment-nodes-never-kings", not is_k_king(g, idx, 2),
-                         f"phi={enc} x={x}")
+            kings.append(("assignment-nodes-never-kings",
+                          g.node_index(pair(Pairing.V2, enc, "10" + x)), False,
+                          f"phi={enc} x={x}"))
+    _check_kings(report, g, kings)
 
 
 def _suite_weave_kkings(report, seed, sample, k=3, m=13):

@@ -45,6 +45,15 @@ def test_king_find(tmp_path, capsys):
     assert code == 0 and out.strip() == "0 a"
 
 
+def test_king_commands_refuse_a_graph_over_the_node_cap(tmp_path, capsys):
+    g = graph_file(tmp_path, "nodes 3000000000\nedge 0 1\n")
+    code, out, err = run(capsys, "king", "check", "--graph", g, "--node", "0", "--k", "2")
+    assert code == 3 and out == "" and "materialization cap" in err
+    assert "Traceback" not in err
+    code, out, err = run(capsys, "king", "find", "--graph", g)
+    assert code == 3 and out == "" and "materialization cap" in err
+
+
 def test_spec_select_and_king(capsys):
     code, out, _ = run(capsys, "spec", "select", "--spec", "max", "01", "10")
     assert code == 0 and out.strip() == "10"

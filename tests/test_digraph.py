@@ -1,7 +1,10 @@
 import random
+import time
 
+import numpy as np
 import pytest
 
+from kings import digraph
 from kings.digraph import (
     ExplicitDigraph,
     GraphParseError,
@@ -12,6 +15,7 @@ from kings.digraph import (
     find_king_landau,
     format_graph_text,
     is_k_king,
+    k_king_mask,
     parse_graph_text,
     reach_within,
     recognize_jpartite_direct,
@@ -23,6 +27,7 @@ from kings.generators import (
     random_digraph,
     random_multipartite_tournament,
 )
+from kings.limits import DEFAULT_NODE_CAP, CapExceeded
 
 
 def cycle3():
@@ -56,6 +61,111 @@ def test_reach_within_masks():
     assert reach_within(transitive3(), 1, 5).tolist() == [False, True, True]
     with pytest.raises(ValueError):
         reach_within(cycle3(), 7, 2)
+
+
+def bfs_reach(g, v, k):
+    """Oracle: the one-source walk the frontier kernel replaced."""
+    adj = g.adj
+    reach = np.zeros(g.num_nodes, dtype=bool)
+    reach[v] = True
+    frontier = reach.copy()
+    for _ in range(k):
+        if reach.all():
+            break
+        frontier = adj[frontier].any(axis=0) & ~reach
+        if not frontier.any():
+            break
+        reach |= frontier
+    return reach
+
+
+def assert_kernel_matches_bfs(g, ks, one_source=True):
+    """k_king_mask and all_k_kings, and with one_source also reach_within,
+    against the oracle."""
+    n = g.num_nodes
+    for k in ks:
+        want = [bfs_reach(g, v, k) for v in range(n)]
+        for v in range(n if one_source else 0):
+            assert reach_within(g, v, k).tolist() == want[v].tolist(), (v, k)
+        if k < 1:
+            continue
+        kings = {v for v in range(n) if want[v].all()}
+        assert all_k_kings(g, k) == kings, k
+        order = list(range(n))[::-1] * 2  # repeats, not in node order
+        assert k_king_mask(g, order, k).tolist() == [v in kings for v in order], k
+
+
+def test_kernel_matches_bfs_on_every_small_tournament():
+    for n in range(1, 6):
+        for t in enumerate_tournaments(n):
+            assert_kernel_matches_bfs(t, range(0, 5))
+
+
+def test_kernel_matches_bfs_on_every_small_digraph():
+    for n in range(1, 4):
+        for g in enumerate_all_digraphs(n):
+            assert_kernel_matches_bfs(g, range(0, 5))
+    for g in enumerate_all_digraphs(4):  # 4096 graphs, through the many-source path
+        assert_kernel_matches_bfs(g, (1, 2, 3), one_source=False)
+
+
+def _random_graphs(rng, n):
+    up = np.triu(rng.random((n, n)) < 0.5, 1)
+    sparse = rng.random((n, n)) < 2.0 / n
+    np.fill_diagonal(sparse, False)
+    return [ExplicitDigraph.from_adjacency(up | np.triu(~up, 1).T),
+            ExplicitDigraph.from_adjacency(sparse)]
+
+
+# a small block, so that source blocks and column panels split at the sizes
+# below; BLOCK + 1 leaves a one-row block, which takes the row gather
+BLOCK = 16
+
+
+@pytest.mark.parametrize("n", [BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 7])
+def test_kernel_matches_bfs_around_the_block_size(monkeypatch, n):
+    monkeypatch.setattr(digraph, "_block_size", lambda n: min(n, BLOCK))
+    rng = np.random.default_rng([n, 7])
+    for g in _random_graphs(rng, n):
+        assert_kernel_matches_bfs(g, range(0, 7))
+
+
+def test_kernel_matches_bfs_past_a_real_block():
+    n = 725  # 723 sources a block: a full block, then a two-row block
+    assert digraph._block_size(n) == 723
+    rng = np.random.default_rng(11)
+    for g in _random_graphs(rng, n):
+        for k in (1, 2, 3):
+            want = [v for v in range(n) if bfs_reach(g, v, k).all()]
+            assert sorted(all_k_kings(g, k)) == want, k
+
+
+def test_block_size_follows_the_node_count():
+    assert digraph._block_size(2048) == 256
+    assert digraph._block_size(DEFAULT_NODE_CAP) == 64
+    assert digraph._block_size(300) == 300
+    assert digraph._block_size(1) == 1
+
+
+def test_huge_k_returns_promptly():
+    n = 40
+    path = ExplicitDigraph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
+    start = time.perf_counter()
+    assert is_k_king(path, 0, 10 ** 20)
+    assert not is_k_king(path, 1, 10 ** 20)
+    assert all_k_kings(path, 10 ** 20) == {0}
+    assert reach_within(path, 3, 10 ** 20).sum() == n - 3
+    assert time.perf_counter() - start < 5
+
+
+def test_k_king_mask_rejects_bad_arguments():
+    with pytest.raises(ValueError, match="node 3 not in graph of 3 nodes"):
+        k_king_mask(cycle3(), [0, 3], 2)
+    with pytest.raises(ValueError, match="node -1 not in graph of 3 nodes"):
+        k_king_mask(cycle3(), [-1], 2)
+    with pytest.raises(ValueError):
+        k_king_mask(cycle3(), [0], 0)
+    assert k_king_mask(cycle3(), [], 2).tolist() == []
 
 
 def test_all_k_kings_examples():
@@ -215,6 +325,19 @@ def test_graph_text_errors():
         parse_graph_text("nodes 2\nedge -1 0\n")
     with pytest.raises(GraphParseError):
         parse_graph_text("nodes 2\nfrobnicate\n")
+
+
+def test_node_cap_is_checked_before_allocating():
+    huge = 3_000_000_000
+    with pytest.raises(CapExceeded):
+        ExplicitDigraph(huge)
+    with pytest.raises(CapExceeded):
+        ExplicitDigraph.from_edges(huge, [(0, 1)])
+    with pytest.raises(CapExceeded):
+        parse_graph_text(f"nodes {huge}\nlabel 0 a\nedge 0 1\n")
+    with pytest.raises(CapExceeded):
+        ExplicitDigraph(DEFAULT_NODE_CAP + 1)
+    assert ExplicitDigraph(DEFAULT_NODE_CAP).num_nodes == DEFAULT_NODE_CAP
 
 
 def test_adjacency_is_read_only():
