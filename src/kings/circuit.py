@@ -14,8 +14,15 @@ Succinct graphs come in two flavors:
   of the j (n+1)-bit fields through their leading control bits; the model
   itself guarantees the result is a multipartite tournament.
 
-Materialization and the edge-table queries of the table-to-circuit builders
-are capped; evaluation over many queries runs gate by gate on numpy boolean
+The reductions build their circuits from parts on ``_Builder``: a
+comparator on node ids, equality tests against fixed ids, and a mux over
+id bits whose constant leaves come from a formula's table, with constants
+folded and equal gates shared.  So a circuit grows with the table, not
+with the square of the node count.  The sum-of-minterms builders
+(``table_to_circuit``, ``jt_table_to_circuit``) query an edge function on
+every node pair and emit one minterm per edge; they are the reference
+builders, capped by the query cap.  Materialization is capped by the node
+cap; evaluation over many queries runs gate by gate on numpy boolean
 columns.
 """
 
@@ -224,13 +231,133 @@ def format_circuit(c: BooleanCircuit) -> str:
 # ---------------------------------------------------------------------------
 
 class _Builder:
+    """A gate list under construction.
+
+    ``add`` and ``fold`` append gates as given; the minterm builder uses
+    them.  The parts (``const`` onward) fold constants and hash gates, so
+    a gate equal to one already built is reused and a block of equal leaves
+    collapses to the leaf.  Node ids are bit lists, most
+    significant bit first.
+    """
+
     def __init__(self, num_inputs):
         self.num_inputs = num_inputs
         self.gates = []
+        self._known = {}
 
     def add(self, gate):
         self.gates.append(gate)
         return len(self.gates) - 1
+
+    def _hashed(self, gate):
+        pos = self._known.get(gate)
+        if pos is None:
+            pos = self._known[gate] = self.add(gate)
+        return pos
+
+    def _value(self, g):
+        gate = self.gates[g]
+        return gate[1] if gate[0] == "CONST" else None
+
+    def const(self, value):
+        return self._hashed(("CONST", int(bool(value))))
+
+    def not_(self, a):
+        gate = self.gates[a]
+        if gate[0] == "CONST":
+            return self.const(not gate[1])
+        if gate[0] == "NOT":
+            return gate[1]
+        return self._hashed(("NOT", a))
+
+    def _complements(self, a, b):
+        return self.gates[a] == ("NOT", b) or self.gates[b] == ("NOT", a)
+
+    def and_(self, a, b):
+        va, vb = self._value(a), self._value(b)
+        if va == 0 or vb == 0 or self._complements(a, b):
+            return self.const(0)
+        if va == 1 or a == b:
+            return b
+        if vb == 1:
+            return a
+        return self._hashed(("AND", min(a, b), max(a, b)))
+
+    def or_(self, a, b):
+        va, vb = self._value(a), self._value(b)
+        if va == 1 or vb == 1 or self._complements(a, b):
+            return self.const(1)
+        if va == 0 or a == b:
+            return b
+        if vb == 0:
+            return a
+        return self._hashed(("OR", min(a, b), max(a, b)))
+
+    def choose(self, s, a, b):
+        """``a`` where ``s`` holds, else ``b``."""
+        va, vb = self._value(a), self._value(b)
+        if a == b:
+            return a
+        if va is not None and vb is not None:
+            return s if va else self.not_(s)
+        if va is not None:
+            return self.or_(s, b) if va else self.and_(self.not_(s), b)
+        if vb is not None:
+            return self.or_(self.not_(s), a) if vb else self.and_(s, a)
+        return self.or_(self.and_(s, a), self.and_(self.not_(s), b))
+
+    def xor(self, a, b):
+        return self.choose(a, self.not_(b), b)
+
+    def mux(self, sel, leaves):
+        """The leaf indexed by the select bits; leaves past the end read 0."""
+        if not leaves:
+            return self.const(0)
+        if not sel:
+            return leaves[0]
+        half = 1 << (len(sel) - 1)
+        return self.choose(sel[0], self.mux(sel[1:], leaves[half:]),
+                           self.mux(sel[1:], leaves[:half]))
+
+    def lookup(self, sel, bits):
+        """A mux whose leaves are the constants ``bits``."""
+        return self.mux(sel, [self.const(v) for v in bits])
+
+    def number(self, value, width):
+        """The fixed id ``value`` as ``width`` constant bits."""
+        if not 0 <= value < 1 << width:
+            raise ValueError(f"id {value} does not fit in {width} bits")
+        return [self.const((value >> (width - 1 - i)) & 1) for i in range(width)]
+
+    def eq_const(self, bits, value):
+        """The id ``bits`` equals the fixed id ``value``."""
+        width = len(bits)
+        if value >> width:
+            return self.const(0)
+        out = self.const(1)
+        for i, g in enumerate(bits):
+            want = (value >> (width - 1 - i)) & 1
+            out = self.and_(out, g if want else self.not_(g))
+        return out
+
+    def lt(self, xs, ys):
+        """The id ``xs`` is below the id ``ys``; either may hold constants."""
+        out = self.const(0)
+        for x, y in zip(reversed(xs), reversed(ys)):
+            nx = self.not_(x)
+            # borrow of x - y: majority(not x, y, borrow from the lower bits)
+            out = self.or_(self.and_(nx, y), self.and_(out, self.or_(nx, y)))
+        return out
+
+    def successor(self, xs, ys):
+        """The id ``ys`` is ``xs + 1`` (same width, no wraparound)."""
+        out = self.const(0)
+        trail = self.const(1)  # xs ends in ones and ys in zeros below bit i
+        for x, y in zip(reversed(xs), reversed(ys)):
+            out = self.and_(self.choose(x, y, self.not_(y)), out)
+            out = self.or_(out, self.and_(trail, self.and_(self.not_(x), y)))
+            trail = self.and_(trail, self.and_(x, self.not_(y)))
+        return out
 
     def inputs(self):
         return [self.add(("INPUT", i)) for i in range(self.num_inputs)]

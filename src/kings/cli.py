@@ -9,6 +9,7 @@ exceeded.  All randomness is seeded; identical flags give identical output.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .circuit import (
@@ -323,10 +324,13 @@ def build_parser():
     return top
 
 
+# built on the first call, not at import; parsing leaves the parser unchanged
+_parser = functools.lru_cache(maxsize=None)(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if exc.code is not None else 2
     try:

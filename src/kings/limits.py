@@ -21,9 +21,10 @@ DEFAULT_PAIR_BUDGET = 1 << 26
 # Exhaustive associativity checks refuse more triples than this.
 DEFAULT_TRIPLE_BUDGET = 1 << 21
 
-# The table-to-circuit builders refuse to query their Python edge function
-# on more ordered node pairs than this: each accepted pair becomes a minterm
-# of the emitted circuit.
+# The reference table-to-circuit builders refuse to query their Python edge
+# function on more ordered node pairs than this: each accepted pair becomes
+# a minterm of the emitted circuit.  The reductions build from parts and
+# never reach it.
 DEFAULT_QUERY_CAP = 1 << 18
 
 

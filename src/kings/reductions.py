@@ -18,20 +18,19 @@ from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
-from .bitstrings import all_bits, int_to_bits
+from .bitstrings import all_bits, bits_to_int, check_bits, int_to_bits
 from .circuit import (
     BooleanCircuit,
     JTournamentCircuit,
     SuccinctGraph,
+    _Builder,
     gw_check_tournament,
     gw_materialize,
     jt_edge,
     jt_k_king,
     jt_materialize,
     jt_node_index,
-    jt_table_to_circuit,
     mpt_has_1king_fast,
-    table_to_circuit,
 )
 from .digraph import (
     all_k_kings,
@@ -198,6 +197,26 @@ def _pad_exponent(total: int) -> int:
     return max(t, 1)
 
 
+def _lower_id_wins(t: int, rows, extra=None) -> SuccinctGraph:
+    """A succinct tournament on the t-bit ids in which the lower of two ids
+    wins, except on the pairs lo < hi with ``rows[lo][hi]`` set or with
+    ``extra(builder, lo, hi)`` true; ids past the rows have no exceptions.
+
+    The circuit sorts the queried pair once and reads the exception off a
+    mux over the two sorted ids, so its size follows the rows, not 4**t.
+    """
+    b = _Builder(2 * t)
+    ins = b.inputs()
+    x, y = ins[:t], ins[t:]
+    below = b.lt(x, y)
+    lo = [b.choose(below, xi, yi) for xi, yi in zip(x, y)]
+    hi = [b.choose(below, yi, xi) for xi, yi in zip(x, y)]
+    upset = b.mux(lo, [b.lookup(hi, row) for row in rows])
+    if extra is not None:
+        upset = b.or_(upset, extra(b, lo, hi))
+    return SuccinctGraph(t, b.finish(b.xor(below, upset)))
+
+
 def build_gw_antenna_instance(phi: ForallExistsFormula, k: int) -> ReductionInstance:
     """One-formula k-king instance: the 2-king tournament plus a k-2 chain.
 
@@ -213,26 +232,25 @@ def build_gw_antenna_instance(phi: ForallExistsFormula, k: int) -> ReductionInst
     chain = k - 2
     total = base + chain
     t = _pad_exponent(total)
-    size = 1 << t
-    check_node_cap(size)
-    adj = np.zeros((size, size), dtype=bool)
-    adj[:base, :base] = base_graph.adj
-    last = base + chain - 1  # only meaningful when chain > 0
-    for c in range(base, base + chain):
-        for o in range(base):
-            if c == last and o == 0:
-                adj[c, o] = True  # chain end -> potential king
-            else:
-                adj[o, c] = True
-    for a in range(base, base + chain):
-        for b in range(a + 1, base + chain):
-            if b == a + 1:
-                adj[a, b] = True  # forward chain step
-            else:
-                adj[b, a] = True  # back toward the chain head
-    for d in range(total, size):
-        adj[:d, d] = True  # dummies lose to everything, including earlier dummies
-    sg = table_to_circuit(t, lambda x, y: bool(adj[int(x, 2), int(y, 2)]))
+    check_node_cap(1 << t)
+    last = total - 1
+
+    def chain_upsets(b, lo, hi):
+        if not chain:
+            return b.const(0)
+        # the chain end points at the potential king
+        upset = b.and_(b.eq_const(lo, 0), b.eq_const(hi, last))
+        if chain > 1:
+            # non-adjacent chain pairs point back toward the chain head
+            in_chain = b.not_(b.lt(lo, b.number(base, t)))
+            if total < 1 << t:
+                in_chain = b.and_(in_chain, b.lt(hi, b.number(total, t)))
+            upset = b.or_(upset, b.and_(in_chain, b.not_(b.successor(lo, hi))))
+        return upset
+
+    # inside the 2-king tournament the higher id wins where its edge says so
+    rows = np.triu(~base_graph.adj, 1).tolist()
+    sg = _lower_id_wins(t, rows, chain_upsets)
     designated = 0 if k == 2 else base
     return ReductionInstance(target=f"gw-kings:{k}", node=int_to_bits(designated, t),
                              length=t, circuit=sg, expected=eval_forall_exists(phi))
@@ -241,23 +259,13 @@ def build_gw_antenna_instance(phi: ForallExistsFormula, k: int) -> ReductionInst
 def reduce_taut_to_1king_gw(phi: PropFormula) -> ReductionInstance:
     """Header-and-certificates instance: the header is a 1-king iff every
     assignment satisfies the formula.  Cross edges run low id to high id."""
-    n = phi.num_vars
-    table = phi.bits
-    certs = 1 << n
-    total = 1 + certs
-    t = _pad_exponent(total)
-    size = 1 << t
-    check_node_cap(size)
-    adj = np.zeros((size, size), dtype=bool)
-    for a in range(certs):
-        if table[a] == "1":
-            adj[0, 1 + a] = True
-        else:
-            adj[1 + a, 0] = True
-    adj[0, total:] = True
-    for u in range(1, size):
-        adj[u, u + 1:] = True
-    sg = table_to_circuit(t, lambda x, y: bool(adj[int(x, 2), int(y, 2)]))
+    if not isinstance(phi, PropFormula):
+        raise TypeError("the 1-king reduction takes propositional formulas")
+    certs = 1 << phi.num_vars
+    t = _pad_exponent(1 + certs)
+    check_node_cap(1 << t)
+    # certificate 1 + a beats the header exactly when a falsifies phi
+    sg = _lower_id_wins(t, [[False] + [bit == "0" for bit in phi.bits]])
     return ReductionInstance(target="gw-kings:1", node=int_to_bits(0, t),
                              length=t, circuit=sg, expected=is_tautology(phi))
 
@@ -272,24 +280,21 @@ def build_2partite_instance(phi: ForallExistsFormula) -> ReductionInstance:
     x-node exactly when the matrix accepts that assignment pair; x-nodes
     beat part-2 padding; part-1 padding is beaten by all of part 2.
     """
+    if not isinstance(phi, ForallExistsFormula):
+        raise TypeError("the two-part reduction takes forall-exists formulas")
     n = phi.n
     table = phi.matrix.bits
     half = 1 << n
     np2 = n + 1
-
-    def edge_1_to_2(s, s2):
-        ia, ib = int(s, 2), int(s2, 2)
-        if ia == 0:
-            return True  # designated node beats part 2
-        if 1 <= ia <= half:
-            if ib < half:
-                x = int_to_bits(ia - 1, n)
-                y = int_to_bits(ib, n)
-                return table[int(x + y, 2)] != "1"
-            return True  # x-nodes beat part-2 padding
-        return False  # part-1 padding loses to part 2
-
-    jc = jt_table_to_circuit(2, np2, lambda i, s, i2, s2: edge_1_to_2(s, s2))
+    b = _Builder(2 * (np2 + 1))
+    ins = b.inputs()
+    s, s2 = ins[1:np2 + 1], ins[np2 + 2:]
+    # row 0 is the designated node and row 1 + x an x-node; padding rows read 0
+    rows = [b.const(1)]
+    for x in range(half):
+        beats = [bit != "1" for bit in table[x * half:(x + 1) * half]]
+        rows.append(b.lookup(s2, beats + [True] * half))
+    jc = JTournamentCircuit(2, np2, b.finish(b.mux(s, rows)))
     return ReductionInstance(target="jt-kings:2:2", node=(1, "0" * np2),
                              length=np2, circuit=jc,
                              expected=eval_forall_exists(phi))
@@ -314,37 +319,53 @@ def lift_k(jc: JTournamentCircuit, w: Tuple[int, str]
            ) -> Tuple[JTournamentCircuit, Tuple[int, str]]:
     """Two-part k-to-(k+1) shift: a new node opposite w points only at w,
     is pointed at by the rest of w's part, and both parts re-pad to the
-    next power of two.  The new node is a (k+1)-king iff w was a k-king."""
+    next power of two.  The new node is a (k+1)-king iff w was a k-king.
+
+    Gate surgery: old nodes are the payloads with a leading 0, and the
+    input circuit decides old pairs on its inputs moved one bit right in
+    each field; the new node and the padding are decided by id tests.
+    """
     if jc.j != 2:
         raise ValueError("the k-shift is defined on two-part instances")
     iw, sw = w
-    if not 1 <= iw <= 2 or len(sw) != jc.n:
+    if not 1 <= iw <= 2 or len(check_bits(sw)) != jc.n:
         raise ValueError("bad designated node")
     opp = 3 - iw
-    n2 = jc.n + 1
-    z_s = "1" + "0" * jc.n
-
-    def edge_1_to_2(s, s2):
-        left_old = s[0] == "0"
-        right_old = s2[0] == "0"
-        if left_old and right_old:
-            return jt_edge(jc, (1, s[1:]), (2, s2[1:]))
-        if opp == 2 and s2 == z_s:  # right side is the new node, w in part 1
-            if left_old:
-                return s[1:] != sw  # w's part points at the new node, except w
-            return False  # new node beats part-1 padding
-        if opp == 1 and s == z_s:  # left side is the new node, w in part 2
-            if right_old:
-                return s2[1:] == sw  # the new node points only at w
-            return True  # new node beats part-2 padding
-        if left_old and not right_old:
-            return True  # real nodes beat opposite padding
-        if right_old and not left_old:
-            return False
-        return True  # padding vs padding: part 1 to part 2
-
-    lifted = jt_table_to_circuit(2, n2, lambda i, s, i2, s2: edge_1_to_2(s, s2))
-    return lifted, (opp, z_s)
+    n = jc.n
+    n2 = n + 1
+    b = _Builder(2 * (n2 + 1))
+    ins = b.inputs()
+    s, s2 = ins[1:n2 + 1], ins[n2 + 2:]
+    moved = [ins[0]] + s[1:] + [ins[n2 + 1]] + s2[1:]
+    copy = []
+    for gate in jc.circuit.gates:
+        op = gate[0]
+        if op == "INPUT":
+            copy.append(moved[gate[1]])
+        elif op == "CONST":
+            copy.append(b.const(gate[1]))
+        elif op == "NOT":
+            copy.append(b.not_(copy[gate[1]]))
+        elif op == "AND":
+            copy.append(b.and_(copy[gate[1]], copy[gate[2]]))
+        else:
+            copy.append(b.or_(copy[gate[1]], copy[gate[2]]))
+    old_pair = copy[jc.circuit.output]
+    z_id = 1 << n  # the new node 1 0^n
+    if opp == 2:
+        is_z = b.eq_const(s2, z_id)
+        is_w = b.eq_const(s[1:], bits_to_int(sw))
+        # old part-1 nodes but w point at the new node; it beats part-1 padding
+        new_right = b.not_(b.and_(is_z, is_w))
+        cases = [old_pair, new_right, b.const(0), b.not_(is_z)]
+    else:
+        is_z = b.eq_const(s, z_id)
+        is_w = b.eq_const(s2[1:], bits_to_int(sw))
+        # the new node points only at w among old nodes, and at part-2 padding
+        cases = [old_pair, b.const(1), b.and_(is_z, is_w), b.const(1)]
+    # cases by (left is new, right is new); padding pairs point part 1 to part 2
+    lifted = JTournamentCircuit(2, n2, b.finish(b.mux([s[0], s2[0]], cases)))
+    return lifted, (opp, "1" + "0" * n)
 
 
 # ---------------------------------------------------------------------------

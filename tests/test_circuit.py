@@ -6,6 +6,7 @@ import pytest
 from kings.bitstrings import all_bits, int_to_bits
 from kings.circuit import (
     BooleanCircuit,
+    _Builder,
     CircuitParseError,
     JTournamentCircuit,
     SuccinctGraph,
@@ -199,6 +200,79 @@ def test_table_builders_refuse_before_querying():
     # the largest sizes within the cap: 512 * 511 and 512 * 512 queries
     assert table_to_circuit(9, lambda x, y: False).n == 9
     assert jt_table_to_circuit(2, 9, lambda i, s, i2, s2: False).n == 9
+
+
+# ---------------------------------------------------------------------------
+# circuit parts
+# ---------------------------------------------------------------------------
+
+def _truth_table(num_inputs, part):
+    """Build ``part(builder, inputs)`` and evaluate it on every input row."""
+    b = _Builder(num_inputs)
+    c = b.finish(part(b, b.inputs()))
+    rows = np.array([[bit == "1" for bit in word] for word in all_bits(num_inputs)],
+                    dtype=bool).reshape(1 << num_inputs, num_inputs)
+    return [bool(v) for v in eval_circuit_batch(c, rows)]
+
+
+def _ids(width):
+    """(x, y) for every row of a 2*width-input truth table."""
+    return [(v >> width, v & ((1 << width) - 1)) for v in range(1 << (2 * width))]
+
+
+def test_comparator_and_successor_exhaustive():
+    for w in range(1, 5):
+        lt = _truth_table(2 * w, lambda b, ins: b.lt(ins[:w], ins[w:]))
+        succ = _truth_table(2 * w, lambda b, ins: b.successor(ins[:w], ins[w:]))
+        assert lt == [x < y for x, y in _ids(w)]
+        assert succ == [y == x + 1 for x, y in _ids(w)]
+        for c in range(1 << w):
+            # a fixed id on either side folds into the comparator
+            below = _truth_table(w, lambda b, ins: b.lt(ins, b.number(c, w)))
+            above = _truth_table(w, lambda b, ins: b.lt(b.number(c, w), ins))
+            assert below == [x < c for x in range(1 << w)]
+            assert above == [c < x for x in range(1 << w)]
+    with pytest.raises(ValueError):
+        _Builder(0).number(4, 2)
+
+
+def test_id_equality_exhaustive():
+    for w in range(0, 5):
+        for c in range((1 << w) + 2):
+            got = _truth_table(w, lambda b, ins: b.eq_const(ins, c))
+            assert got == [x == c for x in range(1 << w)]
+
+
+def test_mux_exhaustive():
+    for w in range(0, 4):
+        for length in range((1 << w) + 1):
+            for value in range(1 << length):
+                leaves = [bool(value >> i & 1) for i in range(length)]
+                got = _truth_table(w, lambda b, ins: b.lookup(ins, leaves))
+                # leaves past the end read 0
+                assert got == [x < length and leaves[x] for x in range(1 << w)]
+    # gate leaves: the select bits pick one of the data inputs
+    got = _truth_table(6, lambda b, ins: b.mux(ins[:2], ins[2:]))
+    assert got == [bool(v >> (3 - (v >> 4)) & 1) for v in range(64)]
+
+
+def test_parts_fold_constants_and_reuse_gates():
+    b = _Builder(3)
+    ins = b.inputs()
+    assert b.lookup(ins, [True] * 8) == b.const(1)
+    assert b.lookup(ins, [False] * 5) == b.const(0)
+    assert b.lookup(ins, [False, True] * 4) == ins[2]
+    assert b.lookup(ins, [True, False] * 4) == b.not_(ins[2])
+    size = len(b.gates)
+    first = b.lookup(ins, [False, True, True, False, True, False, False, True])
+    grown = len(b.gates)
+    assert grown > size
+    again = b.lookup(ins, [False, True, True, False, True, False, False, True])
+    assert again == first and len(b.gates) == grown
+    assert b.not_(b.not_(ins[0])) == ins[0]
+    assert b.and_(ins[0], b.not_(ins[0])) == b.const(0)
+    assert b.or_(ins[0], b.not_(ins[0])) == b.const(1)
+    assert b.and_(ins[0], ins[1]) == b.and_(ins[1], ins[0])
 
 
 # ---------------------------------------------------------------------------

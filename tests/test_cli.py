@@ -131,15 +131,51 @@ def test_reduce_over_the_variable_cap(capsys):
     assert code == 0 and "node 00000001" in out and "expected false" in out
 
 
-def test_reduce_and_lift_over_the_query_cap(tmp_path, capsys):
-    # 1024 * 1023 ordered edge queries are refused before the first one
-    code, _, err = run(capsys, "reduce", "--kind", "onekings", "--formula", "vars=9: x1")
-    assert code == 3 and "cap" in err
-    circ = tmp_path / "c.txt"
-    circ.write_text("inputs 20\ng0 CONST 1\noutput g0\n")
-    code, _, err = run(capsys, "mpt", "lift-k", "--circuit", str(circ),
-                       "--j", "2", "--n", "9", "--node", "1:" + "0" * 9)
-    assert code == 3 and "cap" in err
+def _gate_count(out):
+    return sum(1 for line in out.splitlines() if line.startswith("g"))
+
+
+def test_reduce_and_lift_at_desk_scale_emit_small_circuits(tmp_path, capsys):
+    # the 12-variable onekings circuit is a mux over the header's row, not
+    # one minterm per edge of its 8192 nodes
+    code, out, err = run(capsys, "reduce", "--kind", "onekings", "--formula", "vars=12: x1")
+    assert code == 0 and "model gw n=13" in out and err == ""
+    assert _gate_count(out) < 20_000
+    # the k-shift copies its input circuit once, plus id tests linear in n
+    sizes = {}
+    for gates in (2, 201):
+        circ = tmp_path / f"c{gates}.txt"
+        lines = ["inputs 20", "g0 INPUT 3", "g1 INPUT 14"]
+        lines += [f"g{i} {'AND' if i % 2 else 'OR'} g{i - 1} g{i - 2}"
+                  for i in range(2, gates)]
+        circ.write_text("\n".join(lines + [f"output g{gates - 1}"]) + "\n")
+        code, out, _ = run(capsys, "mpt", "lift-k", "--circuit", str(circ),
+                           "--j", "2", "--n", "9", "--node", "1:" + "0" * 9)
+        assert code == 0 and "model jt j=2 n=10" in out and "node 2:1000000000" in out
+        sizes[gates] = _gate_count(out)
+    assert sizes[2] < 150 and 150 < sizes[201] - sizes[2] <= 199
+
+
+def test_main_reuses_its_parser_without_leaking_defaults(tmp_path, capsys):
+    # one parser serves every call: each call sets an option the next omits
+    g = graph_file(tmp_path, CYCLE)
+    for _ in range(2):
+        code, _, err = run(capsys, "reduce", "--kind", "conp", "--formula", "tt:11",
+                           "--codec", "ttfe")
+        assert code == 2 and "prop codec" in err
+        code, out, _ = run(capsys, "reduce", "--kind", "conp", "--formula", "tt:11")
+        assert code == 0 and "node 01011000" in out and "expected true" in out
+        code, out, _ = run(capsys, "verify", "--suite", "claim2.2:n=1", "--records")
+        assert code == 0 and "suite=claim2.2:n=1 total=16" in out
+        code, _, err = run(capsys, "king", "check", "--graph", g, "--node", "a")
+        assert code == 2 and "--k" in err
+        code, out, _ = run(capsys, "verify", "--suite", "claim2.2:n=1")
+        assert code == 0 and "16/16 agree" in out and "suite=" not in out
+        code, out, _ = run(capsys, "spec", "validate", "--spec", "max", "--m", "3",
+                           "--sample", "5", "--seed", "2")
+        assert code == 0 and "mode=sampled(5,seed=2)" in out
+        code, out, _ = run(capsys, "spec", "validate", "--spec", "max", "--m", "3")
+        assert code == 0 and "mode=exhaustive" in out
 
 
 def test_reduce_huge_universal_block_does_not_crash(capsys):

@@ -1,15 +1,26 @@
+import random
+
+import numpy as np
 import pytest
 
 from kings.bitstrings import all_bits, int_to_bits
-from kings.circuit import gw_check_tournament, gw_materialize, jt_edge, jt_k_king
+from kings.circuit import (
+    gw_check_tournament,
+    gw_materialize,
+    jt_edge,
+    jt_k_king,
+    jt_materialize,
+)
 from kings.digraph import all_k_kings, is_k_king
 from kings.formula import (
     CatalogCodec,
     TTFECodec,
     eval_formula,
+    fe_from_table,
     formula_from_table,
     parse_formula_input,
 )
+from kings.generators import random_jtournament_circuit
 from kings.pairing import Pairing, pair
 from kings.reductions import (
     build_2partite_instance,
@@ -169,6 +180,196 @@ def test_lift_k_shifts_kingship():
         assert jt_edge(lifted, z, (inst.node[0], "0" + inst.node[1]))
     with pytest.raises(ValueError):
         lift_k(lift_j(inst.circuit, inst.node)[0], inst.node)
+
+
+def test_reductions_reject_the_wrong_formula_kind():
+    with pytest.raises(TypeError):
+        reduce_taut_to_1king_gw(fe("fe:n=1:tt:1001"))
+    with pytest.raises(TypeError):
+        build_2partite_instance(fe("x1"))
+    with pytest.raises(TypeError):
+        build_gw_antenna_instance(fe("x1"), 3)
+
+
+# ---------------------------------------------------------------------------
+# bit-exact oracles: the explicit adjacency each reduction specifies
+# ---------------------------------------------------------------------------
+
+def _pad_exponent(total):
+    return max(1, (total - 1).bit_length())
+
+
+def antenna_adjacency(phi, k):
+    """The 2-king tournament, a k-2 chain and dummy padding, tabulated."""
+    base_graph = build_subtournament("pi2", phi)
+    base = base_graph.num_nodes
+    chain = k - 2
+    total = base + chain
+    size = 1 << _pad_exponent(total)
+    adj = np.zeros((size, size), dtype=bool)
+    adj[:base, :base] = base_graph.adj
+    last = base + chain - 1
+    for c in range(base, base + chain):
+        for o in range(base):
+            if c == last and o == 0:
+                adj[c, o] = True
+            else:
+                adj[o, c] = True
+    for a in range(base, base + chain):
+        for b in range(a + 1, base + chain):
+            if b == a + 1:
+                adj[a, b] = True
+            else:
+                adj[b, a] = True
+    for d in range(total, size):
+        adj[:d, d] = True
+    return adj
+
+
+def onekings_adjacency(phi):
+    """The header, one certificate per assignment and dummy padding."""
+    certs = 1 << phi.num_vars
+    total = 1 + certs
+    size = 1 << _pad_exponent(total)
+    adj = np.zeros((size, size), dtype=bool)
+    for a in range(certs):
+        if phi.bits[a] == "1":
+            adj[0, 1 + a] = True
+        else:
+            adj[1 + a, 0] = True
+    adj[0, total:] = True
+    for u in range(1, size):
+        adj[u, u + 1:] = True
+    return adj
+
+
+def two_part_adjacency(n2, edge_1_to_2):
+    """Both parts hold the n2-bit payloads; part 1 first."""
+    size = 1 << n2
+    cross = np.array([[edge_1_to_2(int_to_bits(a, n2), int_to_bits(b, n2))
+                       for b in range(size)] for a in range(size)], dtype=bool)
+    adj = np.zeros((2 * size, 2 * size), dtype=bool)
+    adj[:size, size:] = cross
+    adj[size:, :size] = ~cross.T
+    return adj
+
+
+def two_part_edge(phi):
+    n = phi.n
+    table = phi.matrix.bits
+    half = 1 << n
+
+    def edge_1_to_2(s, s2):
+        ia, ib = int(s, 2), int(s2, 2)
+        if ia == 0:
+            return True
+        if 1 <= ia <= half:
+            if ib < half:
+                return table[int(int_to_bits(ia - 1, n) + int_to_bits(ib, n), 2)] != "1"
+            return True
+        return False
+
+    return edge_1_to_2
+
+
+def lift_k_edge(jc, w):
+    iw, sw = w
+    opp = 3 - iw
+    z_s = "1" + "0" * jc.n
+
+    def edge_1_to_2(s, s2):
+        left_old = s[0] == "0"
+        right_old = s2[0] == "0"
+        if left_old and right_old:
+            return jt_edge(jc, (1, s[1:]), (2, s2[1:]))
+        if opp == 2 and s2 == z_s:
+            if left_old:
+                return s[1:] != sw
+            return False
+        if opp == 1 and s == z_s:
+            if right_old:
+                return s2[1:] == sw
+            return True
+        if left_old and not right_old:
+            return True
+        if right_old and not left_old:
+            return False
+        return True
+
+    return edge_1_to_2
+
+
+def _same_graph(got, want):
+    diagonal = np.eye(len(want), dtype=bool)
+    assert np.array_equal(got.adj, want & ~diagonal)
+
+
+def test_onekings_circuit_matches_its_adjacency():
+    rng = random.Random(31)
+    for n in range(1, 7):
+        tables = list(all_bits(1 << n)) if n <= 2 else \
+            [int_to_bits(rng.getrandbits(1 << n), 1 << n) for _ in range(12)]
+        tables += ["0" * (1 << n), "1" * (1 << n)]
+        for bits in tables:
+            phi = formula_from_table(n, bits)
+            inst = reduce_taut_to_1king_gw(phi)
+            _same_graph(gw_materialize(inst.circuit), onekings_adjacency(phi))
+
+
+def test_antenna_circuit_matches_its_adjacency():
+    rng = random.Random(32)
+    for bits in all_bits(4):
+        phi = fe_from_table(1, bits)
+        for k in range(2, 6):
+            inst = build_gw_antenna_instance(phi, k)
+            _same_graph(gw_materialize(inst.circuit), antenna_adjacency(phi, k))
+    # chains that end at, below and above a power of two, with and without dummies
+    for n, count in ((1, 6), (2, 8), (3, 4)):
+        for _ in range(count):
+            phi = fe_from_table(n, int_to_bits(rng.getrandbits(1 << (2 * n)), 1 << (2 * n)))
+            k = rng.choice((2, 3, 4, 5, 6, 11, 12, 13, 18, 21))
+            inst = build_gw_antenna_instance(phi, k)
+            _same_graph(gw_materialize(inst.circuit), antenna_adjacency(phi, k))
+
+
+def test_two_part_circuit_matches_its_adjacency():
+    rng = random.Random(33)
+    tables = [(1, bits) for bits in all_bits(4)]
+    tables += [(n, int_to_bits(rng.getrandbits(1 << (2 * n)), 1 << (2 * n)))
+               for n in (2, 3) for _ in range(8)]
+    for n, bits in tables:
+        phi = fe_from_table(n, bits)
+        inst = build_2partite_instance(phi)
+        want = two_part_adjacency(n + 1, two_part_edge(phi))
+        _same_graph(jt_materialize(inst.circuit).graph, want)
+
+
+def test_onekings_circuit_stays_small_at_the_variable_cap():
+    # a random 12-variable table: one mux over 2**13 leaves, shared sub-blocks
+    rng = random.Random(5)
+    bits = int_to_bits(rng.getrandbits(1 << 12), 1 << 12)
+    inst = reduce_taut_to_1king_gw(formula_from_table(12, bits))
+    assert inst.length == 13 and len(inst.circuit.circuit.gates) < 20_000
+
+
+def test_lift_k_circuit_matches_its_adjacency():
+    for bits in all_bits(4):
+        inst = build_2partite_instance(fe_from_table(1, bits))
+        lifted, z = lift_k(inst.circuit, inst.node)
+        want = two_part_adjacency(lifted.n, lift_k_edge(inst.circuit, inst.node))
+        _same_graph(jt_materialize(lifted).graph, want)
+        assert z == (2, "100")
+    rng = random.Random(34)
+    for _ in range(60):
+        n = rng.randint(0, 3)
+        jc = random_jtournament_circuit(rng, 2, n, rng.randint(0, 30))
+        w = (rng.randint(1, 2), int_to_bits(rng.randrange(1 << n), n))
+        lifted, z = lift_k(jc, w)
+        assert z == (3 - w[0], "1" + "0" * n)
+        want = two_part_adjacency(n + 1, lift_k_edge(jc, w))
+        _same_graph(jt_materialize(lifted).graph, want)
+        # surgery, not tabulation: the input circuit is copied at most once
+        assert len(lifted.circuit.gates) <= len(jc.circuit.gates) + 16 * (n + 2)
 
 
 # ---------------------------------------------------------------------------
