@@ -18,24 +18,23 @@ The reductions build their circuits from parts on ``_Builder``: a
 comparator on node ids, equality tests against fixed ids, and a mux over
 id bits whose constant leaves come from a formula's table, with constants
 folded and equal gates shared.  So a circuit grows with the table, not
-with the square of the node count.  The sum-of-minterms builders
-(``table_to_circuit``, ``jt_table_to_circuit``) query an edge function on
-every node pair and emit one minterm per edge; they are the reference
-builders, capped by the query cap.  Materialization is capped by the node
-cap; evaluation over many queries runs gate by gate on numpy boolean
-columns.
+with the square of the node count.  ``table_to_circuit`` wraps an explicit
+edge function the same way, as one lookup over the queried pair; it asks
+the function about every node pair, so it is capped by the query cap.
+Materialization is capped by the node cap; evaluation over many queries
+runs gate by gate on numpy boolean columns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
 from .bitstrings import check_bits, int_to_bits
 from .digraph import ExplicitDigraph, MultipartiteTournament, is_k_king
-from .limits import check_node_cap, check_query_cap
+from .limits import check_query_cap, check_strings_node_cap
 
 
 class CircuitParseError(ValueError):
@@ -233,11 +232,10 @@ def format_circuit(c: BooleanCircuit) -> str:
 class _Builder:
     """A gate list under construction.
 
-    ``add`` and ``fold`` append gates as given; the minterm builder uses
-    them.  The parts (``const`` onward) fold constants and hash gates, so
-    a gate equal to one already built is reused and a block of equal leaves
-    collapses to the leaf.  Node ids are bit lists, most
-    significant bit first.
+    ``add`` appends a gate as given; ``inputs`` uses it.  The parts
+    (``const`` onward) fold constants and hash gates, so a gate equal to one
+    already built is reused and a block of equal leaves collapses to the
+    leaf.  Node ids are bit lists, most significant bit first.
     """
 
     def __init__(self, num_inputs):
@@ -362,36 +360,8 @@ class _Builder:
     def inputs(self):
         return [self.add(("INPUT", i)) for i in range(self.num_inputs)]
 
-    def fold(self, op, ids):
-        ids = list(ids)
-        if not ids:
-            raise ValueError("fold of nothing")
-        while len(ids) > 1:
-            nxt = [self.add((op, ids[i], ids[i + 1])) for i in range(0, len(ids) - 1, 2)]
-            if len(ids) % 2:
-                nxt.append(ids[-1])
-            ids = nxt
-        return ids[0]
-
     def finish(self, output):
         return BooleanCircuit(self.num_inputs, tuple(self.gates), output)
-
-
-def minterm_circuit(num_inputs: int, accepted: Sequence[str]) -> BooleanCircuit:
-    """A circuit accepting exactly the given input strings (sum of minterms)."""
-    b = _Builder(num_inputs)
-    ins = b.inputs()
-    negs = [b.add(("NOT", g)) for g in ins]
-    terms = []
-    for word in sorted(accepted):
-        check_bits(word)
-        if len(word) != num_inputs:
-            raise ValueError("minterm width mismatch")
-        lits = [ins[i] if word[i] == "1" else negs[i] for i in range(num_inputs)]
-        terms.append(b.fold("AND", lits) if lits else b.add(("CONST", 1)))
-    if not terms:
-        return b.finish(b.add(("CONST", 0)))
-    return b.finish(b.fold("OR", terms))
 
 
 # ---------------------------------------------------------------------------
@@ -413,18 +383,12 @@ class SuccinctGraph:
 
 
 def table_to_circuit(n: int, edge_fn: Callable[[str, str], bool]) -> SuccinctGraph:
-    """Wrap an explicit edge table as a succinct graph (sum of minterms)."""
+    """Wrap an explicit edge table as a succinct graph: one lookup over x + y."""
     check_query_cap((1 << n) * ((1 << n) - 1))
-    accepted = []
-    for x in range(1 << n):
-        xs = int_to_bits(x, n)
-        for y in range(1 << n):
-            if x == y:
-                continue
-            ys = int_to_bits(y, n)
-            if edge_fn(xs, ys):
-                accepted.append(xs + ys)
-    return SuccinctGraph(n, minterm_circuit(2 * n, accepted))
+    nodes = [int_to_bits(v, n) for v in range(1 << n)]
+    table = [x != y and bool(edge_fn(x, y)) for x in nodes for y in nodes]
+    b = _Builder(2 * n)
+    return SuccinctGraph(n, b.finish(b.lookup(b.inputs(), table)))
 
 
 def gw_edge(sg: SuccinctGraph, x: str, y: str) -> bool:
@@ -446,8 +410,8 @@ def _node_bit_matrix(count: int, width: int) -> np.ndarray:
 
 def _gw_edge_matrix(sg: SuccinctGraph) -> np.ndarray:
     n = sg.n
+    check_strings_node_cap(n)
     count = 1 << n
-    check_node_cap(count)
     bits = _node_bit_matrix(count, n)
     out = np.zeros((count, count), dtype=bool)
     # chunk over source nodes to bound the query matrix
@@ -545,9 +509,9 @@ def jt_node_index(jc: JTournamentCircuit, node: Tuple[int, str]) -> int:
 
 def jt_materialize(jc: JTournamentCircuit) -> MultipartiteTournament:
     """Explicit multipartite tournament; parts listed in field order."""
+    check_strings_node_cap(jc.n, jc.j)
     size = jc.part_size()
     total = jc.j * size
-    check_node_cap(total)
     adj = np.zeros((total, total), dtype=bool)
     bits = _node_bit_matrix(size, jc.n)
     f = jc.n + 1
@@ -591,24 +555,3 @@ def mpt_has_1king_fast(jc: JTournamentCircuit) -> Optional[Tuple[int, str]]:
             return (i, "")
     return None
 
-
-def jt_table_to_circuit(j: int, n: int,
-                        edge_fn: Callable[[int, str, int, str], bool]
-                        ) -> JTournamentCircuit:
-    """Wrap an explicit cross-part edge table as a tournament circuit.
-
-    ``edge_fn(i, s, i2, s2)`` gives the orientation for the canonical i < i2
-    query; the circuit is a sum of minterms over canonical query strings.
-    """
-    size = 1 << n
-    check_query_cap(j * (j - 1) // 2 * size * size)
-    accepted = []
-    for i in range(1, j):
-        for i2 in range(i + 1, j + 1):
-            for a in range(size):
-                s = int_to_bits(a, n)
-                for b in range(size):
-                    s2 = int_to_bits(b, n)
-                    if edge_fn(i, s, i2, s2):
-                        accepted.append(jt_query(j, n, i, s, i2, s2))
-    return JTournamentCircuit(j, n, minterm_circuit(j * (n + 1), accepted))

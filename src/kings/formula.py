@@ -4,9 +4,10 @@ Two formula shapes appear throughout the package: plain propositional
 formulas over variables x1..xn, and balanced quantified formulas (a block
 of n universal variables followed by n existential ones over a 2n-variable
 matrix).  Everything in the package reads a formula only through its truth
-table, so the table is the only form a formula takes: text is parsed into a
-syntax tree, evaluated once on every assignment and dropped, and the truth
-oracles read their answers off the table.  Formulas are capped at desk
+table, so the table is the only form a formula takes: the parser computes
+the table of each subexpression as it reads it, a variable being a column
+and the operators acting on whole columns, and the truth oracles read their
+answers off the table.  Formulas are capped at desk
 scale: more than ``DEFAULT_VAR_CAP`` variables raise ``CapExceeded`` when a
 formula is built or parsed.
 
@@ -32,7 +33,7 @@ from dataclasses import dataclass
 from importlib import resources
 from typing import Optional, Union
 
-from .bitstrings import all_bits, bits_to_int, check_bits, int_to_bits
+from .bitstrings import bits_to_int, check_bits, int_to_bits
 from .limits import DEFAULT_VAR_CAP, CapExceeded
 
 
@@ -103,61 +104,7 @@ def fe_from_table(n: int, bits: str) -> ForallExistsFormula:
 
 
 # ---------------------------------------------------------------------------
-# Syntax trees, which live only inside parse_formula
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Var:
-    index: int  # 1-based
-
-
-@dataclass(frozen=True)
-class Not:
-    child: "Node"
-
-
-@dataclass(frozen=True)
-class And:
-    left: "Node"
-    right: "Node"
-
-
-@dataclass(frozen=True)
-class Or:
-    left: "Node"
-    right: "Node"
-
-
-Node = Union[Var, Not, And, Or]
-
-
-def _eval(node, a) -> bool:
-    # Explicit stack, so deep left-nested chains such as x1&x1&...&x1 cannot
-    # overflow the interpreter stack.  And/Or short-circuit: when the left
-    # value does not decide, the operator's value is its right child's.
-    pending = []  # Not nodes, and And/Or nodes whose left child is being evaluated
-    while True:
-        while True:
-            t = type(node)
-            if t is Var:
-                val = a[node.index - 1] == "1"
-                break
-            pending.append(node)
-            node = node.child if t is Not else node.left
-        while pending:
-            op = pending.pop()
-            t = type(op)
-            if t is Not:
-                val = not val
-            elif val == (t is And):
-                node = op.right
-                break
-        else:
-            return val
-
-
-# ---------------------------------------------------------------------------
-# Parsing
+# Parsing, straight to the truth table
 # ---------------------------------------------------------------------------
 
 _VARS_PREFIX = re.compile(r"\s*vars\s*=\s*(\d+)\s*:")
@@ -167,19 +114,28 @@ _VAR_TOKEN = re.compile(r"[xy]\d+")
 # it well inside the interpreter's recursion limit.
 _MAX_NESTING = 100
 
+# A subformula is its table over all DEFAULT_VAR_CAP variables, held as an
+# int whose most significant bit is the all-zeros assignment.  Variable k's
+# column is runs of 2**(cap - k) zeros and ones; an index past the cap reads
+# as a zero column until the arity check refuses it.
+_ROWS = 1 << DEFAULT_VAR_CAP
+_ALL = (1 << _ROWS) - 1
+_COLUMNS = [int(("0" * run + "1" * run) * (_ROWS // (2 * run)), 2)
+            for run in (_ROWS >> k for k in range(1, DEFAULT_VAR_CAP + 1))]
+
 
 class _Parser:
-    def __init__(self, text: str, base: int, num_universal):
+    """Recursive descent over ``text`` from ``pos``; offsets index ``text``."""
+
+    def __init__(self, text: str, pos: int, num_universal):
         self.text = text
-        self.base = base  # offset of text within the original input
-        self.pos = 0
+        self.pos = pos
         self.num_universal = num_universal
         self.max_index = 0
         self.depth = 0  # '!' and '(' currently open
 
     def error(self, message, at=None):
-        where = self.pos if at is None else at
-        raise FormulaSyntaxError(message, self.base + where)
+        raise FormulaSyntaxError(message, self.pos if at is None else at)
 
     def skip_ws(self):
         while self.pos < len(self.text) and self.text[self.pos].isspace():
@@ -189,28 +145,28 @@ class _Parser:
         self.skip_ws()
         return self.text[self.pos] if self.pos < len(self.text) else ""
 
-    def parse(self) -> Node:
-        node = self.parse_or()
+    def parse(self) -> int:
+        table = self.parse_or()
         self.skip_ws()
         if self.pos != len(self.text):
             self.error(f"unexpected {self.text[self.pos]!r}")
-        return node
+        return table
 
-    def parse_or(self) -> Node:
-        node = self.parse_and()
+    def parse_or(self) -> int:
+        table = self.parse_and()
         while self.peek() == "|":
             self.pos += 1
-            node = Or(node, self.parse_and())
-        return node
+            table |= self.parse_and()
+        return table
 
-    def parse_and(self) -> Node:
-        node = self.parse_atom()
+    def parse_and(self) -> int:
+        table = self.parse_atom()
         while self.peek() == "&":
             self.pos += 1
-            node = And(node, self.parse_atom())
-        return node
+            table &= self.parse_atom()
+        return table
 
-    def parse_atom(self) -> Node:
+    def parse_atom(self) -> int:
         c = self.peek()
         if c in ("!", "("):
             if self.depth == _MAX_NESTING:
@@ -218,14 +174,14 @@ class _Parser:
             self.depth += 1
             self.pos += 1
             if c == "!":
-                node = Not(self.parse_atom())
+                table = _ALL ^ self.parse_atom()
             else:
-                node = self.parse_or()
+                table = self.parse_or()
                 if self.peek() != ")":
                     self.error("expected ')'")
                 self.pos += 1
             self.depth -= 1
-            return node
+            return table
         if c in ("x", "y"):
             m = _VAR_TOKEN.match(self.text, self.pos)
             if not m:
@@ -240,8 +196,27 @@ class _Parser:
                     self.error("y-variables need a universal count", at=start)
                 k = self.num_universal + k
             self.max_index = max(self.max_index, k)
-            return Var(k)
+            return _COLUMNS[k - 1] if k <= DEFAULT_VAR_CAP else 0
         self.error("expected a variable, '!' or '('")
+
+
+def _parse_table(text: str, pos: int, num_universal, override=None,
+                 override_at=0) -> PropFormula:
+    """The formula ``text[pos:]``, over ``override`` variables when given.
+
+    Offsets index ``text``; a count below the highest index is reported at
+    ``override_at``, where the count was written.
+    """
+    parser = _Parser(text, pos, num_universal)
+    table = parser.parse()  # every parse holds a variable, so max_index >= 1
+    num_vars = parser.max_index if override is None else override
+    if parser.max_index > num_vars:
+        raise FormulaSyntaxError(
+            f"vars={override} is below the highest index {parser.max_index}",
+            override_at)
+    _check_arity(num_vars)
+    rows = format(table, f"0{_ROWS}b")
+    return PropFormula(num_vars, rows[::1 << (DEFAULT_VAR_CAP - num_vars)])
 
 
 def parse_formula(text: str, num_universal: Optional[int] = None) -> PropFormula:
@@ -249,29 +224,15 @@ def parse_formula(text: str, num_universal: Optional[int] = None) -> PropFormula
 
     ``y<k>`` is sugar for variable ``num_universal + k`` and is only legal when
     a universal count is supplied (matrix context).  A leading ``vars=<n>:``
-    overrides the inferred variable count.  The tree is evaluated on every
-    assignment and dropped; the result is the formula's truth table.  Raises
-    :class:`FormulaSyntaxError` with the 0-based offset of the first problem,
-    and ``CapExceeded`` past the variable cap, before any evaluation.
+    overrides the inferred variable count.  Each subexpression is parsed
+    straight to its truth table, so the result is the formula's table.
+    Raises :class:`FormulaSyntaxError` with the 0-based offset of the first
+    problem, and then ``CapExceeded`` past the variable cap.
     """
-    override = None
-    body = text
-    base = 0
     m = _VARS_PREFIX.match(text)
     if m:
-        override = int(m.group(1))
-        base = m.end()
-        body = text[base:]
-    parser = _Parser(body, base, num_universal)
-    root = parser.parse()  # every parse holds a variable, so max_index >= 1
-    num_vars = parser.max_index if override is None else override
-    if override is not None and parser.max_index > override:
-        raise FormulaSyntaxError(
-            f"vars={override} is below the highest index {parser.max_index}", 0
-        )
-    _check_arity(num_vars)
-    bits = "".join("1" if _eval(root, a) else "0" for a in all_bits(num_vars))
-    return PropFormula(num_vars, bits)
+        return _parse_table(text, m.end(), num_universal, int(m.group(1)))
+    return _parse_table(text, 0, num_universal)
 
 
 # ---------------------------------------------------------------------------
@@ -497,14 +458,16 @@ def parse_formula_input(text: str):
     a forall-exists formula, ``cat:<index>`` a catalog entry, anything else a
     plain expression.  Returns a :class:`PropFormula` or
     :class:`ForallExistsFormula`; raises ``ValueError`` on malformed input
-    and ``CapExceeded`` past the variable cap.
+    and ``CapExceeded`` past the variable cap.  Syntax-error offsets index
+    ``text`` as given, leading whitespace included.
     """
     t = text.strip()
     if t.startswith("tt:"):
         bits = t[3:]
         return PropFormula(_table_arity(bits), bits)
     if t.startswith("fe:"):
-        m = _FE_PREFIX.match(t)
+        lead = len(text) - len(text.lstrip())
+        m = _FE_PREFIX.match(text, lead)
         if not m:
             raise ValueError("forall-exists input must look like fe:n=<n>:<matrix>")
         n = int(m.group(1))
@@ -516,9 +479,7 @@ def parse_formula_input(text: str):
             if _table_arity(bits) != 2 * n:
                 raise ValueError(f"matrix table must have length 2**{2 * n}")
             return fe_from_table(n, bits)
-        matrix = parse_formula(f"vars={2 * n}: {rest}" if rest else rest,
-                               num_universal=n)
-        return ForallExistsFormula(n, matrix)
+        return ForallExistsFormula(n, _parse_table(text, m.start(2), n, 2 * n, lead))
     if t.startswith("cat:"):
         return CatalogCodec().entry(int(t[4:]))
-    return parse_formula(t)
+    return parse_formula(text)

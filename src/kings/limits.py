@@ -21,10 +21,8 @@ DEFAULT_PAIR_BUDGET = 1 << 26
 # Exhaustive associativity checks refuse more triples than this.
 DEFAULT_TRIPLE_BUDGET = 1 << 21
 
-# The reference table-to-circuit builders refuse to query their Python edge
-# function on more ordered node pairs than this: each accepted pair becomes
-# a minterm of the emitted circuit.  The reductions build from parts and
-# never reach it.
+# table_to_circuit refuses to query its Python edge function on more ordered
+# node pairs than this.  The reductions build from parts and never reach it.
 DEFAULT_QUERY_CAP = 1 << 18
 
 
@@ -37,6 +35,15 @@ def check_node_cap(count: int) -> None:
     if count > DEFAULT_NODE_CAP:
         raise CapExceeded(
             f"{count} nodes exceeds the materialization cap {DEFAULT_NODE_CAP}")
+
+
+def check_strings_node_cap(length: int, blocks: int = 1) -> None:
+    """Refuse ``blocks`` copies of the 2**length strings past the node cap,
+    judging a length past the cap's width before 2**length is formed."""
+    if length > DEFAULT_NODE_CAP.bit_length():
+        raise CapExceeded(
+            f"2**{length} nodes exceeds the materialization cap {DEFAULT_NODE_CAP}")
+    check_node_cap(blocks << length)
 
 
 def check_query_cap(count: int) -> None:

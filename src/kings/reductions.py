@@ -68,6 +68,7 @@ from .specifier import (
     MEMBER,
     OTHER,
     WeaveSpecifier,
+    _check_sample,
     build_subtournament,
     check_associativity,
     conp_specifier,
@@ -868,6 +869,7 @@ def verify_suite(suite: str, seed: int = 0,
     """Run one named suite and return its report."""
     if suite not in _SUITES:
         raise ValueError(f"unknown suite {suite!r}; see list_suites()")
+    _check_sample(sample)
     description, fn = _SUITES[suite]
     report = VerificationReport(suite=suite, description=description)
     start = time.perf_counter()

@@ -65,6 +65,7 @@ from .limits import (
     DEFAULT_TRIPLE_BUDGET,
     CapExceeded,
     check_node_cap,
+    check_strings_node_cap,
 )
 from .pairing import Pairing, unpair
 
@@ -505,8 +506,8 @@ def induced_graph(spec, m: int) -> ExplicitDigraph:
     pairs follow the strict upper triangle (the smaller string wins) and a
     core string's row and column hold its class's result against leftovers.
     """
+    check_strings_node_cap(m)
     count = 1 << m
-    check_node_cap(count)
     names = [int_to_bits(v, m) for v in range(count)]
     if isinstance(spec, WeaveSpecifier):
         infos = [spec.classify(z) for z in names]
@@ -611,6 +612,12 @@ class SpecifierValidation:
 _WITNESS_CAP = 20
 
 
+def _check_sample(sample):
+    """Refuse a sample size below 1, which would pass vacuously."""
+    if sample is not None and sample < 1:
+        raise ValueError(f"sample must be at least 1, got {sample}")
+
+
 def validate_specifier(spec, m: int, sample: Optional[int] = None,
                        seed: int = 0) -> SpecifierValidation:
     """Check the specifier axioms at length m, exhaustively or by sampling.
@@ -621,6 +628,7 @@ def validate_specifier(spec, m: int, sample: Optional[int] = None,
     core x core pairs go through the guards.  Built-ins additionally get
     their fixed cross-length rule probed on mixed-length samples.
     """
+    _check_sample(sample)
     count = 1 << m
     mode = "exhaustive" if sample is None else f"sampled({sample},seed={seed})"
     report = SpecifierValidation(spec=spec.name, m=m, mode=mode)
@@ -729,6 +737,7 @@ def check_associativity(spec, m: int, sample: Optional[int] = None,
     class, which is what finds witnesses in the weave families where pure
     uniform sampling almost never leaves the leftover class.
     """
+    _check_sample(sample)
     count = 1 << m
     sel = spec.select
     report = AssociativityReport(

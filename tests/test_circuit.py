@@ -22,7 +22,6 @@ from kings.circuit import (
     jt_materialize,
     jt_node_index,
     jt_query,
-    jt_table_to_circuit,
     mpt_has_1king_fast,
     parse_circuit,
     table_to_circuit,
@@ -193,13 +192,8 @@ def _never_queried(*args):
 def test_table_builders_refuse_before_querying():
     with pytest.raises(CapExceeded):
         table_to_circuit(10, _never_queried)
-    with pytest.raises(CapExceeded):
-        jt_table_to_circuit(2, 10, _never_queried)
-    with pytest.raises(CapExceeded):
-        jt_table_to_circuit(5, 8, _never_queried)
-    # the largest sizes within the cap: 512 * 511 and 512 * 512 queries
+    # the largest size within the cap: 512 * 511 queries
     assert table_to_circuit(9, lambda x, y: False).n == 9
-    assert jt_table_to_circuit(2, 9, lambda i, s, i2, s2: False).n == 9
 
 
 # ---------------------------------------------------------------------------
@@ -368,10 +362,10 @@ def test_jt_k_king_examples():
 def test_mpt_1king_fast():
     assert mpt_has_1king_fast(JTournamentCircuit(2, 1, const_circuit(4, 1))) is None
     assert mpt_has_1king_fast(JTournamentCircuit(2, 0, const_circuit(2, 1))) == (1, "")
-    # cyclic orientation on three singleton parts has no 1-king
-    cyc = jt_table_to_circuit(
-        3, 0, lambda i, s, i2, s2: (i, i2) in ((1, 2), (2, 3)))
-    # 1->2, 2->3, 3->1: the (1,3) canonical query must say "3 -> 1"
+    # cyclic orientation on three singleton parts has no 1-king: the output
+    # is part 2's control bit, so 1->2 and 2->3, and the (1,3) query says 3->1
+    b = _Builder(3)
+    cyc = JTournamentCircuit(3, 0, b.finish(b.inputs()[1]))
     assert mpt_has_1king_fast(cyc) is None
     assert all_k_kings(jt_materialize(cyc).graph, 1) == set()
 

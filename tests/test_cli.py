@@ -71,6 +71,17 @@ def test_spec_king_cap_exceeded(capsys):
     assert code == 3 and "cap" in err
 
 
+def test_huge_lengths_are_refused_before_two_to_the_length(tmp_path, capsys):
+    # a length far past the node cap is refused from the length alone
+    huge = str(10 ** 12)
+    code, _, err = run(capsys, "spec", "materialize", "--spec", "pi2", "--m", huge)
+    assert code == 3 and f"2**{huge} nodes" in err
+    circ = tmp_path / "c.txt"
+    circ.write_text(f"inputs {2 * 10 ** 12}\ng0 CONST 1\noutput g0\n")
+    code, _, err = run(capsys, "gw", "is-tournament", "--circuit", str(circ))
+    assert code == 3 and f"2**{huge} nodes" in err
+
+
 def test_spec_materialize(tmp_path, capsys):
     code, out, _ = run(capsys, "spec", "materialize", "--spec", "max", "--m", "2")
     assert code == 0
@@ -196,6 +207,20 @@ def test_verify(capsys):
     assert code == 0 and any(line.startswith("suite=") for line in out.splitlines())
     code, _, err = run(capsys, "verify", "--suite", "zzz")
     assert code == 2
+
+
+@pytest.mark.parametrize("sample", ["0", "-1", "-4"])
+def test_sample_below_one_is_a_usage_error(capsys, sample):
+    # no sample size may pass vacuously or fall back to the default
+    for args in (["verify", "--suite", "lemma4.2"],
+                 ["verify", "--suite", "fourking-mpt"],
+                 ["spec", "validate", "--spec", "pi2", "--m", "8"],
+                 ["spec", "assoc", "--spec", "pi2", "--m", "8"]):
+        code, out, err = run(capsys, *args, "--sample", sample)
+        assert code == 2 and out == "", args
+        assert f"sample must be at least 1, got {sample}" in err, args
+    code, out, _ = run(capsys, "verify", "--suite", "lemma4.2", "--sample", "1")
+    assert code == 0 and "fast-1king-vs-brute-force: 1/1" in out
 
 
 def test_gw_and_mpt_commands(tmp_path, capsys):

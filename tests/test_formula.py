@@ -1,3 +1,4 @@
+import re
 from itertools import product
 
 import pytest
@@ -74,6 +75,30 @@ def test_parse_parens_and_precedence():
     assert eval_formula(f, "100") and not eval_formula(f, "010")
     g = parse_formula("(x1 | x2) & x3")
     assert not eval_formula(g, "100") and eval_formula(g, "101")
+
+
+@pytest.mark.parametrize("text, rest", [
+    ("fe:n=1:x1 &", ""),
+    ("fe:n=1:", ""),
+    ("fe:n=1:   ", ""),
+    ("  fe:n=1:x1 & )", ")"),
+    ("fe:n=2: x1 & y0", "y0"),
+    (" fe:n=1:(x1 | y1  ", ""),
+    ("fe:n=1:x1 # y1", "# y1"),
+    ("fe:n=1:x1 x2", "x2"),
+    ("fe:n=1:vars=2: x1", "vars=2: x1"),
+    ("\tfe:n=1:x3", "fe:n=1:x3"),  # the count below the index is at fe:n=
+    ("  x1 & )", ")"),
+    ("\t!y1", "y1"),
+    ("vars=2: x1 |", ""),
+])
+def test_syntax_error_offsets_index_the_text_as_given(text, rest):
+    with pytest.raises(FormulaSyntaxError) as exc:
+        parse_formula_input(text)
+    if rest:
+        assert text[exc.value.offset:].startswith(rest)
+    else:
+        assert exc.value.offset == len(text)
 
 
 def test_parse_input_forms():
@@ -201,12 +226,97 @@ def _minterm_text(n, bits):
 
 
 def test_formula_from_table_roundtrip():
-    # the parser's evaluator against an independent construction, exhaustively
+    # the parser against an independent construction, exhaustively
     for n in (1, 2, 3):
         for v in range(1 << (1 << n)):
             bits = int_to_bits(v, 1 << n)
             assert truth_table_of(formula_from_table(n, bits)) == bits
             assert parse_formula(_minterm_text(n, bits)).bits == bits
+
+
+# ---------------------------------------------------------------------------
+# the parser against an independent oracle
+# ---------------------------------------------------------------------------
+
+_ORACLE_PREFIX = re.compile(r"\s*vars\s*=\s*(\d+)\s*:")
+_ORACLE_VAR = re.compile(r"[xy]\d+")
+
+
+def oracle_table(text, num_universal=None):
+    """(num_vars, table) of a well-formed expression: the text translated to
+    Python not/and/or and evaluated on every assignment."""
+    m = _ORACLE_PREFIX.match(text)
+    body = text[m.end():] if m else text
+
+    def index(token):
+        k = int(token[1:])
+        return k if token[0] == "x" else num_universal + k
+
+    n = int(m.group(1)) if m else max(map(index, _ORACLE_VAR.findall(body)))
+    code = _ORACLE_VAR.sub(lambda t: f"a[{index(t.group()) - 1}]", body)
+    code = code.replace("!", " not ").replace("&", " and ").replace("|", " or ")
+    value = eval(f"lambda a: ({code})", {"__builtins__": {}})
+    return n, "".join("1" if value([c == "1" for c in a]) else "0"
+                      for a in product("01", repeat=n))
+
+
+def _small_expressions():
+    """Every expression of up to three leaves over x1..x3: each leaf may be
+    negated, and so may one parenthesized run of two or more leaves."""
+    for count in (1, 2, 3):
+        groups = [None] + [(i, j, neg) for i in range(count)
+                           for j in range(i + 2, count + 1) for neg in ("", "!")]
+        for names in product(("x1", "x2", "x3"), repeat=count):
+            for negs in product(("", "!"), repeat=count):
+                for ops in product("&|", repeat=count - 1):
+                    for group in groups:
+                        parts = [neg + name for neg, name in zip(negs, names)]
+                        if group:
+                            i, j, neg = group
+                            parts[i] = neg + "(" + parts[i]
+                            parts[j - 1] += ")"
+                        yield parts[0] + "".join(op + p for op, p in zip(ops, parts[1:]))
+
+
+def test_parse_matches_the_oracle_on_every_small_expression():
+    count = 0
+    for text in _small_expressions():
+        phi = parse_formula(text)
+        assert (phi.num_vars, phi.bits) == oracle_table(text), text
+        count += 1
+    assert count == 6 + 216 + 6048
+
+
+def test_parse_matches_the_oracle_on_drawn_expressions():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    # x1..x4 and y1..y2 over two universal variables, so vars=4..6 is legal
+    space = st.sampled_from(["", "", " ", "\t"])
+    leaf = st.builds("{}{}{}{}".format, space, st.sampled_from("xxy"),
+                     st.integers(1, 2), space)
+    leaf = st.one_of(leaf, st.builds("{}x{}{}".format, space, st.integers(3, 4), space))
+    expr = st.recursive(leaf, lambda e: st.one_of(
+        e.map("!{}".format), e.map("({})".format),
+        st.builds("{}{}{}".format, e, st.sampled_from("&|"), e)), max_leaves=12)
+    text = st.one_of(expr, st.builds("vars={}:{}".format, st.integers(4, 6), expr))
+
+    @hypothesis.settings(derandomize=True, database=None, deadline=None,
+                         max_examples=400)
+    @hypothesis.given(text)
+    def check(text):
+        phi = parse_formula(text, num_universal=2)
+        assert (phi.num_vars, phi.bits) == oracle_table(text, num_universal=2)
+
+    check()
+
+
+def test_syntax_errors_come_before_the_variable_cap():
+    with pytest.raises(FormulaSyntaxError):
+        parse_formula("x13 & (")
+    with pytest.raises(FormulaSyntaxError):
+        parse_formula("vars=1: x2")
+    with pytest.raises(CapExceeded):
+        parse_formula("x13")
 
 
 # ---------------------------------------------------------------------------
