@@ -34,7 +34,7 @@ import numpy as np
 
 from .bitstrings import check_bits, int_to_bits
 from .digraph import ExplicitDigraph, MultipartiteTournament, is_k_king
-from .limits import check_query_cap, check_strings_node_cap
+from .limits import check_length_cap, check_query_cap, check_strings_node_cap
 
 
 class CircuitParseError(ValueError):
@@ -465,6 +465,7 @@ class JTournamentCircuit:
             raise ValueError("j must be at least 2")
         if self.n < 0:
             raise ValueError("n must be nonnegative")
+        check_length_cap(self.n)  # payloads are n-bit strings
         if self.circuit.num_inputs != self.j * (self.n + 1):
             raise ValueError("circuit arity must be j(n+1)")
 

@@ -15,6 +15,22 @@ as it reaches every node or stops growing, so any depth ends within n
 steps.  Block and panel sizes follow from the node count under one byte
 budget.  Products of 0/1 matrices are exact in float32 up to 2**24 nodes,
 far above the node cap, and ``> 0`` reads them as reachability.
+
+A product costs the same however few nodes a frontier holds.  So when a
+graph spans more than one panel, k_king_mask packs the adjacency rows 64
+columns to a word, and a block whose frontier rows hold at most n / 8
+nodes each is grown by ORing the packed rows of each row's nodes instead,
+one node slot at a time.  The early steps through a sparse digraph are
+such steps, and so are the late steps of a walk that has all but stopped
+growing, as in a weave's subtournaments after step two.
+
+Kingship asks less of the last step: only whether a row reaches every
+node.  So when the columns span more than one panel, the walk stops a step
+short, and the last step takes one panel at a time, by product or, for a
+single row, by gathering its frontier's adjacency rows over that panel
+alone.  After each panel a row with a column still unreached leaves as not
+a king; a row that reaches every node is a king, as before.  A leftover of
+a weave misses node 0, so its last step costs one panel, not the n columns.
 """
 
 from __future__ import annotations
@@ -178,6 +194,10 @@ class MultipartiteTournament:
 # n = 2048 that is 256 rows and 256 columns.
 _OPERAND_BYTES = 1 << 21
 
+# with the packed adjacency at hand, a frontier whose rows hold at most
+# n // _SPARSE nodes each is grown by gathering, not by a product
+_SPARSE = 8
+
 
 def _block_size(n: int) -> int:
     """Sources per block and adjacency columns per panel on n nodes: 64 or
@@ -185,27 +205,78 @@ def _block_size(n: int) -> int:
     return min(n, _OPERAND_BYTES // (4 * n))
 
 
-def _grow(adj: np.ndarray, frontier: np.ndarray) -> np.ndarray:
+def _beyond(adj: np.ndarray, operand: np.ndarray, cols: slice) -> np.ndarray:
+    """Nodes in the column panel cols one edge beyond each frontier row.
+
+    operand is a single frontier row as the indices of its nodes, whose
+    adjacency rows are gathered over the panel only, or more rows as a
+    float32 matrix, multiplied with the panel.
+    """
+    if operand.ndim == 1:
+        return adj[operand, cols].any(axis=0, keepdims=True)
+    # the converted panel is dropped before the next one is made
+    return operand @ adj[:, cols].astype(np.float32) > 0
+
+
+def _pack(adj: np.ndarray) -> np.ndarray:
+    """The rows of adj as bit strings, 64 columns a word, and a zero row
+    after the last one."""
+    n = adj.shape[0]
+    bits = np.zeros((n + 1, -(-n // 64) * 8), dtype=np.uint8)
+    bits[:n, :-(-n // 8)] = np.packbits(adj, axis=1)
+    return bits.view(np.uint64)
+
+
+def _gathered(bits, frontier: np.ndarray):
+    """Nodes one edge beyond each row of the frontier matrix, as the OR of
+    the packed adjacency rows (bits, from _pack) of the row's nodes; None
+    if bits is None or a row holds more than n // _SPARSE nodes."""
+    if bits is None:
+        return None
+    counts = np.count_nonzero(frontier, axis=1)
+    most = counts.max(initial=0)
+    if most * _SPARSE > frontier.shape[1]:
+        return None
+    rows, nodes = np.nonzero(frontier)
+    # slot j of a row names its j-th node, or the zero row past its last
+    slots = np.full((len(frontier), most), len(bits) - 1)
+    slots[rows, np.arange(len(rows)) - (np.cumsum(counts) - counts)[rows]] = nodes
+    words = np.zeros((len(frontier), bits.shape[1]), dtype=np.uint64)
+    for column in slots.T:
+        words |= bits[column]
+    return np.unpackbits(words.view(np.uint8), axis=1,
+                         count=frontier.shape[1]).view(bool)
+
+
+def _grow(adj: np.ndarray, frontier: np.ndarray, bits=None) -> np.ndarray:
     """Nodes one edge beyond each row of the frontier matrix."""
     if len(frontier) == 1:
         return adj[frontier[0]].any(axis=0, keepdims=True)
+    grown = _gathered(bits, frontier)
+    if grown is not None:
+        return grown
     width = _block_size(adj.shape[0])
     rows = frontier.astype(np.float32)
     grown = np.empty(frontier.shape, dtype=bool)
     for c in range(0, adj.shape[0], width):
-        # the converted panel is dropped before the next one is made
-        np.greater(rows @ adj[:, c:c + width].astype(np.float32), 0,
-                   out=grown[:, c:c + width])
+        grown[:, c:c + width] = _beyond(adj, rows, slice(c, c + width))
     return grown
 
 
-def _reach_block(adj: np.ndarray, sources, k: int) -> np.ndarray:
-    """Row i marks the nodes sources[i] reaches by a path of length <= k."""
+def _walk(adj: np.ndarray, sources, k: int, bits=None):
+    """The frontier walk from sources, k steps deep; bits as for _gathered.
+
+    Returns (reach, live, frontier).  Row i of reach marks the nodes
+    sources[i] reaches by a path of length <= k.  A source leaves the walk
+    as soon as it reaches every node or stops growing; live lists the rows
+    still in it after step k, and frontier holds, row for row, the nodes
+    they first reached at that step.
+    """
     reach = np.zeros((len(sources), adj.shape[0]), dtype=bool)
     live = np.arange(len(sources))
     reach[live, sources] = True
     if k < 1:
-        return reach
+        return reach, live, reach
     frontier = adj[sources]  # one edge from a single node is its row
     reach |= frontier
     # rows that leave are written back to done; until the first one leaves,
@@ -217,13 +288,56 @@ def _reach_block(adj: np.ndarray, sources, k: int) -> np.ndarray:
             done[live[~keep]] = reach[~keep]
             live, reach, frontier = live[keep], reach[keep], frontier[keep]
             if not live.size:
-                return done
-        frontier = _grow(adj, frontier)
+                return done, live, frontier
+        frontier = _grow(adj, frontier, bits)
         frontier &= ~reach
         reach |= frontier
     if reach is not done:
         done[live] = reach
-    return done
+    return done, live, frontier
+
+
+def _reach_block(adj: np.ndarray, sources, k: int, bits=None) -> np.ndarray:
+    """Row i marks the nodes sources[i] reaches by a path of length <= k."""
+    return _walk(adj, sources, k, bits)[0]
+
+
+def _king_block(adj: np.ndarray, sources, k: int, bits=None) -> np.ndarray:
+    """Entry i is True iff sources[i] reaches every node within k steps.
+
+    The walk stops one step short, and the last step asks only whether a
+    row reaches every node: it takes the columns a panel at a time, and a
+    row leaves as "not a king" at the first panel with a column it does not
+    reach.  With one step, or with every column in one panel, the last step
+    is the walk's own; a sparse frontier of many rows gathers whole rows.
+    """
+    n = adj.shape[0]
+    width = _block_size(n)
+    if k == 1 or width == n:
+        return _reach_block(adj, sources, k, bits).all(axis=1)
+    reach, live, frontier = _walk(adj, sources, k - 1, bits)
+    kings = reach.all(axis=1)
+    going = frontier.any(axis=1) & ~kings[live]
+    live = live[going]
+    if not live.size:
+        return kings
+    frontier = frontier[going]
+    grown = _gathered(bits, frontier) if len(live) > 1 else None
+    if grown is not None:
+        kings[live] = (reach[live] | grown).all(axis=1)
+        return kings
+    operand = (np.flatnonzero(frontier[0]) if len(live) == 1
+               else frontier.astype(np.float32))
+    for c in range(0, n, width):
+        cols = slice(c, c + width)
+        hit = (reach[live, cols] | _beyond(adj, operand, cols)).all(axis=1)
+        if not hit.all():
+            live = live[hit]
+            if not live.size:
+                return kings
+            operand = operand[hit]  # two or more rows, so a matrix
+    kings[live] = True
+    return kings
 
 
 def reach_within(g: ExplicitDigraph, v: int, k: int) -> np.ndarray:
@@ -246,10 +360,13 @@ def k_king_mask(g: ExplicitDigraph, sources, k: int) -> np.ndarray:
     if bad.size:
         raise ValueError(f"node {bad[0]} not in graph of {n} nodes")
     block = _block_size(n)
+    # the packed rows serve the sparse steps of blocks of many rows, in
+    # graphs that span more than one panel
+    bits = _pack(g.adj) if k > 1 and len(sources) > 1 and block < n else None
     kings = np.zeros(len(sources), dtype=bool)
     for start in range(0, len(sources), block):
-        rows = _reach_block(g.adj, sources[start:start + block], k)
-        kings[start:start + block] = rows.all(axis=1)
+        kings[start:start + block] = _king_block(g.adj, sources[start:start + block], k,
+                                                 bits)
     return kings
 
 
@@ -257,7 +374,8 @@ def is_k_king(g: ExplicitDigraph, v: int, k: int) -> bool:
     """True iff every node is reachable from v by a path of length <= k."""
     if k < 1:
         raise ValueError("k must be at least 1")
-    return bool(reach_within(g, v, k).all())
+    g._check_node(v)
+    return bool(_king_block(g.adj, np.array([v]), k)[0])
 
 
 def all_k_kings(g: ExplicitDigraph, k: int) -> Set[int]:

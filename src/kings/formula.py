@@ -200,20 +200,21 @@ class _Parser:
         self.error("expected a variable, '!' or '('")
 
 
-def _parse_table(text: str, pos: int, num_universal, override=None,
-                 override_at=0) -> PropFormula:
-    """The formula ``text[pos:]``, over ``override`` variables when given.
+def _parse_table(text: str, pos: int, num_universal, count=None) -> PropFormula:
+    """The formula ``text[pos:]``; offsets index ``text``.
 
-    Offsets index ``text``; a count below the highest index is reported at
-    ``override_at``, where the count was written.
+    ``count`` is a variable count the user wrote, as ``(num_vars, at,
+    spelled)``: a count below the highest index is reported as ``spelled``
+    at offset ``at``, where it was written.
     """
     parser = _Parser(text, pos, num_universal)
     table = parser.parse()  # every parse holds a variable, so max_index >= 1
-    num_vars = parser.max_index if override is None else override
-    if parser.max_index > num_vars:
-        raise FormulaSyntaxError(
-            f"vars={override} is below the highest index {parser.max_index}",
-            override_at)
+    num_vars = parser.max_index
+    if count is not None:
+        num_vars, at, spelled = count
+        if parser.max_index > num_vars:
+            raise FormulaSyntaxError(
+                f"{spelled} is below the highest index {parser.max_index}", at)
     _check_arity(num_vars)
     rows = format(table, f"0{_ROWS}b")
     return PropFormula(num_vars, rows[::1 << (DEFAULT_VAR_CAP - num_vars)])
@@ -231,7 +232,9 @@ def parse_formula(text: str, num_universal: Optional[int] = None) -> PropFormula
     """
     m = _VARS_PREFIX.match(text)
     if m:
-        return _parse_table(text, m.end(), num_universal, int(m.group(1)))
+        num_vars = int(m.group(1))
+        count = (num_vars, 0, f"vars={num_vars}")
+        return _parse_table(text, m.end(), num_universal, count)
     return _parse_table(text, 0, num_universal)
 
 
@@ -479,7 +482,8 @@ def parse_formula_input(text: str):
             if _table_arity(bits) != 2 * n:
                 raise ValueError(f"matrix table must have length 2**{2 * n}")
             return fe_from_table(n, bits)
-        return ForallExistsFormula(n, _parse_table(text, m.start(2), n, 2 * n, lead))
+        count = (2 * n, lead, f"n={n} (a {2 * n}-variable matrix)")
+        return ForallExistsFormula(n, _parse_table(text, m.start(2), n, count))
     if t.startswith("cat:"):
         return CatalogCodec().entry(int(t[4:]))
     return parse_formula(text)

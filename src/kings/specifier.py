@@ -64,6 +64,7 @@ from .limits import (
     DEFAULT_PAIR_BUDGET,
     DEFAULT_TRIPLE_BUDGET,
     CapExceeded,
+    check_length_cap,
     check_node_cap,
     check_strings_node_cap,
 )
@@ -629,6 +630,7 @@ def validate_specifier(spec, m: int, sample: Optional[int] = None,
     their fixed cross-length rule probed on mixed-length samples.
     """
     _check_sample(sample)
+    check_length_cap(m)
     count = 1 << m
     mode = "exhaustive" if sample is None else f"sampled({sample},seed={seed})"
     report = SpecifierValidation(spec=spec.name, m=m, mode=mode)
@@ -738,6 +740,7 @@ def check_associativity(spec, m: int, sample: Optional[int] = None,
     uniform sampling almost never leaves the leftover class.
     """
     _check_sample(sample)
+    check_length_cap(m)
     count = 1 << m
     sel = spec.select
     report = AssociativityReport(

@@ -80,6 +80,13 @@ def test_huge_lengths_are_refused_before_two_to_the_length(tmp_path, capsys):
     circ.write_text(f"inputs {2 * 10 ** 12}\ng0 CONST 1\noutput g0\n")
     code, _, err = run(capsys, "gw", "is-tournament", "--circuit", str(circ))
     assert code == 3 and f"2**{huge} nodes" in err
+    # and so is a length that would size a string or 2**length of its own
+    for argv in (["mpt", "lift-j", "--circuit", str(circ), "--j", "2", "--n", huge],
+                 ["spec", "validate", "--spec", "max", "--m", huge, "--sample", "5"],
+                 ["spec", "assoc", "--spec", "max", "--m", huge, "--sample", "5"]):
+        code, out, err = run(capsys, *argv)
+        assert code == 3 and f"length {huge} exceeds" in err, argv
+        assert "Traceback" not in out + err and err.count("\n") == 1, argv
 
 
 def test_spec_materialize(tmp_path, capsys):

@@ -80,8 +80,8 @@ def bfs_reach(g, v, k):
 
 
 def assert_kernel_matches_bfs(g, ks, one_source=True):
-    """k_king_mask and all_k_kings, and with one_source also reach_within,
-    against the oracle."""
+    """k_king_mask and all_k_kings, and with one_source also reach_within
+    and is_k_king, against the oracle."""
     n = g.num_nodes
     for k in ks:
         want = [bfs_reach(g, v, k) for v in range(n)]
@@ -90,6 +90,8 @@ def assert_kernel_matches_bfs(g, ks, one_source=True):
         if k < 1:
             continue
         kings = {v for v in range(n) if want[v].all()}
+        for v in range(n if one_source else 0):
+            assert is_k_king(g, v, k) == (v in kings), (v, k)
         assert all_k_kings(g, k) == kings, k
         order = list(range(n))[::-1] * 2  # repeats, not in node order
         assert k_king_mask(g, order, k).tolist() == [v in kings for v in order], k
@@ -128,6 +130,105 @@ def test_kernel_matches_bfs_around_the_block_size(monkeypatch, n):
     rng = np.random.default_rng([n, 7])
     for g in _random_graphs(rng, n):
         assert_kernel_matches_bfs(g, range(0, 7))
+
+
+def late_column_graph(n, s, t, rng):
+    """Random edges, except that s reaches every node within two steps but
+    t, which it first reaches at step three, through a = t + 1 (mod n)."""
+    a = (t + 1) % n
+    x = next(v for v in range(n) if v not in (s, t, a))
+    adj = rng.random((n, n)) < 0.3
+    adj[:, t] = False  # only a points at t
+    adj[a, t] = True
+    adj[s] = True
+    adj[s, [a, t]] = False
+    adj[x, a] = True  # s -> x -> a
+    np.fill_diagonal(adj, False)
+    return ExplicitDigraph.from_adjacency(adj)
+
+
+@pytest.mark.parametrize("n", [BLOCK + 1, 3 * BLOCK + 7])
+@pytest.mark.parametrize("where", ["first panel", "last panel"])
+def test_kings_only_last_step_matches_both_oracles(monkeypatch, n, where):
+    """A source whose only column missing at its last step is in the first
+    panel, or in the last, short one; n = BLOCK + 1 also leaves a one-row
+    source block."""
+    monkeypatch.setattr(digraph, "_block_size", lambda n: min(n, BLOCK))
+    s, t = n // 2, 0 if where == "first panel" else n - 1
+    g = late_column_graph(n, s, t, np.random.default_rng([n, t]))
+    assert np.flatnonzero(~bfs_reach(g, s, 2)).tolist() == [t]
+    assert bfs_reach(g, s, 3).all()
+    for k in (1, 2, 3, 4, n + 5):  # the last is past every eccentricity
+        want = [bool(bfs_reach(g, v, k).all()) for v in range(n)]
+        full_rows = digraph._reach_block(g.adj, np.arange(n), k).all(axis=1)
+        assert full_rows.tolist() == want, k
+        assert [is_k_king(g, v, k) for v in range(n)] == want, k
+        assert k_king_mask(g, range(n), k).tolist() == want, k
+        assert k_king_mask(g, [s], k).tolist() == [want[s]], k
+        assert all_k_kings(g, k) == {v for v in range(n) if want[v]}, k
+    assert [is_k_king(g, s, k) for k in (1, 2, 3)] == [False, False, True]
+
+
+def test_kings_only_last_step_matches_full_rows_on_random_graphs(monkeypatch):
+    monkeypatch.setattr(digraph, "_block_size", lambda n: min(n, BLOCK))
+    rng = np.random.default_rng(10)
+    for _ in range(60):
+        n = int(rng.integers(BLOCK + 1, 4 * BLOCK))
+        adj = rng.random((n, n)) < rng.choice([1.5 / n, 4.0 / n, 0.2, 0.5])
+        np.fill_diagonal(adj, False)
+        g = ExplicitDigraph.from_adjacency(adj)
+        for k in range(1, 6):
+            want = digraph._reach_block(g.adj, np.arange(n), k).all(axis=1)
+            assert k_king_mask(g, range(n), k).tolist() == want.tolist(), (n, k)
+            assert [is_k_king(g, v, k) for v in range(n)] == want.tolist(), (n, k)
+
+
+@pytest.mark.parametrize("n", [5, 64, 65, 130])
+def test_packed_gather_matches_the_product(n):
+    """Frontier rows of 0 up to n // _SPARSE nodes, with n a multiple of 64
+    and not, against the float32 product."""
+    rng = np.random.default_rng([n, 12])
+    adj = rng.random((n, n)) < 0.3
+    np.fill_diagonal(adj, False)
+    bits = digraph._pack(adj)
+    most = n // digraph._SPARSE
+    for _ in range(20):
+        frontier = np.zeros((9, n), dtype=bool)
+        for row, count in enumerate(rng.integers(0, most + 1, len(frontier))):
+            frontier[row, rng.choice(n, count, replace=False)] = True
+        got = digraph._gathered(bits, frontier)
+        assert got.tolist() == digraph._grow(adj, frontier).tolist()
+    frontier[0, :most + 1] = True  # one row too many nodes: the product's
+    assert digraph._gathered(bits, frontier) is None
+    assert digraph._gathered(None, frontier[1:]) is None
+
+
+def test_sparse_steps_gather_and_match_both_oracles(monkeypatch):
+    """k_king_mask on sparse graphs that span several panels, whose walk
+    and last steps gather, against the per-node BFS and the products."""
+    monkeypatch.setattr(digraph, "_block_size", lambda n: min(n, BLOCK))
+    gathered = []
+    real = digraph._gathered
+
+    def counted(bits, frontier):
+        grown = real(bits, frontier)
+        gathered.append(grown is not None)
+        return grown
+
+    monkeypatch.setattr(digraph, "_gathered", counted)
+    rng = np.random.default_rng(13)
+    for _ in range(30):
+        n = int(rng.integers(4 * BLOCK, 8 * BLOCK))
+        adj = rng.random((n, n)) < rng.choice([1.0 / n, 2.0 / n, 3.0 / n])
+        adj[np.arange(n), (np.arange(n) + 1) % n] = True  # a cycle: kings exist
+        np.fill_diagonal(adj, False)
+        g = ExplicitDigraph.from_adjacency(adj)
+        for k in (1, 2, 5, 9, n // 2, n):
+            want = [bool(bfs_reach(g, v, k).all()) for v in range(n)]
+            products = digraph._reach_block(g.adj, np.arange(n), k).all(axis=1)
+            assert products.tolist() == want, (n, k)
+            assert k_king_mask(g, range(n), k).tolist() == want, (n, k)
+    assert sum(gathered) > 100
 
 
 def test_kernel_matches_bfs_past_a_real_block():

@@ -101,6 +101,17 @@ def test_syntax_error_offsets_index_the_text_as_given(text, rest):
         assert exc.value.offset == len(text)
 
 
+@pytest.mark.parametrize("text, message", [
+    ("fe:n=1:x3", "n=1 (a 2-variable matrix) is below the highest index 3"),
+    ("fe:n=2:x1 & y3", "n=2 (a 4-variable matrix) is below the highest index 5"),
+    ("vars=2: x3", "vars=2 is below the highest index 3"),
+])
+def test_a_count_below_the_highest_index_is_named_as_written(text, message):
+    with pytest.raises(FormulaSyntaxError) as exc:
+        parse_formula_input(text)
+    assert str(exc.value).endswith(f"offset 0: {message}")
+
+
 def test_parse_input_forms():
     fe = parse_formula_input("fe:n=1:tt:1001")
     assert isinstance(fe, ForallExistsFormula) and fe.n == 1
