@@ -140,20 +140,6 @@ class ExplicitDigraph:
         return f"ExplicitDigraph(nodes={self.num_nodes}, edges={self.num_edges()})"
 
 
-@dataclass(frozen=True)
-class UndirectedGraph:
-    """Symmetric edge relation without self-loops."""
-
-    sym: np.ndarray
-
-    @property
-    def num_nodes(self) -> int:
-        return self.sym.shape[0]
-
-    def has_edge(self, u, v) -> bool:
-        return bool(self.sym[u, v])
-
-
 @dataclass
 class MultipartiteTournament:
     """A completely oriented multipartite digraph plus its part structure."""
@@ -404,9 +390,6 @@ def check_tournament(g: ExplicitDigraph) -> bool:
     want = ~np.eye(n, dtype=bool)
     return bool(np.array_equal(a ^ a.T, want))
 
-
-def underlying_graph(g: ExplicitDigraph) -> UndirectedGraph:
-    return UndirectedGraph(g.adj | g.adj.T)
 
 
 # ---------------------------------------------------------------------------

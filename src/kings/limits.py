@@ -42,9 +42,16 @@ def check_node_cap(count: int) -> None:
             f"{count} nodes exceeds the materialization cap {DEFAULT_NODE_CAP}")
 
 
+def _check_not_negative(length: int) -> None:
+    """Refuse a negative string length; it is a usage error, not a cap."""
+    if length < 0:
+        raise ValueError(f"length {length} is negative")
+
+
 def check_strings_node_cap(length: int, blocks: int = 1) -> None:
     """Refuse ``blocks`` copies of the 2**length strings past the node cap,
     judging a length past the cap's width before 2**length is formed."""
+    _check_not_negative(length)
     if length > DEFAULT_NODE_CAP.bit_length():
         raise CapExceeded(
             f"2**{length} nodes exceeds the materialization cap {DEFAULT_NODE_CAP}")
@@ -53,6 +60,7 @@ def check_strings_node_cap(length: int, blocks: int = 1) -> None:
 
 def check_length_cap(length: int) -> None:
     """Refuse strings longer than ``DEFAULT_LENGTH_CAP`` bits."""
+    _check_not_negative(length)
     if length > DEFAULT_LENGTH_CAP:
         raise CapExceeded(
             f"length {length} exceeds the length cap {DEFAULT_LENGTH_CAP}")

@@ -29,15 +29,20 @@ none (gaps) or several (overlaps).  No gap and no overlap at any length is
 what makes the rule well defined, commutative and selecting.
 
 Core/leftover split.  Almost every string is a leftover (class OTHER; 177
-of 8192 at kkings:3 m=13 are not).  The class dispatch built from
-``GUARDS`` is checked once, at import: every cell with one OTHER side must
-hold exactly one unconditional row, which gives each class a constant
-result against leftovers, and the OTHER x OTHER cell must hold only the
-declared strict order ``_smaller_wins``, which decides each leftover pair
-exactly once by trichotomy.  So ``induced_graph`` starts from the strict
-upper triangle, writes each core row and column from its class's constant
-and calls the guards only on core x core pairs, and the exhaustive guard
-audit in ``validate_specifier`` walks only core x core pairs.
+of 8192 at kkings:3 m=13 are not); the others form the length's core.  The
+class dispatch built from ``GUARDS`` is checked once, at import: every cell
+with one OTHER side must hold exactly one unconditional row, won by the
+other class, and the OTHER x OTHER cell must hold only the declared strict
+order ``_smaller_wins``, which decides each leftover pair exactly once by
+trichotomy.  So every core string beats every leftover, and leftovers beat
+the leftovers above them.  ``induced_graph`` starts from the strict upper
+triangle, makes every core row True and every core column False and copies
+in the core tournament, the one part that goes through the guards; the
+exhaustive guard audit in ``validate_specifier`` walks only core x core
+pairs.  ``specifier_k_king`` answers on the core tournament alone: a core
+string reaches every leftover in one step and no leftover leads back into
+the core, while a leftover never beats the all-zeros string, which is core
+at every length.
 """
 
 from __future__ import annotations
@@ -51,7 +56,7 @@ from typing import List, Optional
 import numpy as np
 
 from .bitstrings import all_bits, check_bits, int_to_bits
-from .digraph import ExplicitDigraph, all_k_kings
+from .digraph import ExplicitDigraph, all_k_kings, is_k_king
 from .formula import (
     CatalogCodec,
     ForallExistsFormula,
@@ -260,15 +265,14 @@ GUARDS = (
 
 
 def _build_dispatch(guards):
-    """The class dispatch of a guard table and each class's result against
-    leftovers.
+    """The class dispatch of a guard table.
 
     cell [cx][cy]: the rows that can fire on (x, y), in table order, as
     (name, condition, x_wins); each row appears once per orientation.
-    ``beats_other[c]`` says whether a class-c string beats every leftover.
     Raises ValueError unless every cell with one OTHER side holds exactly
-    one unconditional row and the OTHER x OTHER cell holds only the two
-    orientations of one ``_smaller_wins`` row (any row there has both).
+    one unconditional row, won by the other class, and the OTHER x OTHER
+    cell holds only the two orientations of one ``_smaller_wins`` row (any
+    row there has both).
     """
     cells = [[[] for _ in range(7)] for _ in range(7)]
     for name, winners, losers, cond in guards:
@@ -277,23 +281,20 @@ def _build_dispatch(guards):
                 cells[cz][cw].append((name, cond, True))
                 cells[cw][cz].append((name, cond, False))
     dispatch = tuple(tuple(map(tuple, row)) for row in cells)
-    beats_other = [None] * 7
     for c in range(7):
-        if c == OTHER:
-            continue
         cell = dispatch[c][OTHER]
-        if len(cell) != 1 or cell[0][1] is not None:
+        if c != OTHER and (len(cell) != 1 or cell[0][1:] != (None, True)):
             raise ValueError(f"cell {_CATEGORY_NAMES[c]} x other needs exactly one "
-                             f"unconditional row, has {[row[0] for row in cell]}")
-        beats_other[c] = cell[0][2]
+                             f"unconditional row that {_CATEGORY_NAMES[c]} wins, "
+                             f"has {[row[0] for row in cell]}")
     cell = dispatch[OTHER][OTHER]
     if len(cell) != 2 or any(cond is not _smaller_wins for _, cond, _ in cell):
         raise ValueError("cell other x other needs exactly one _smaller_wins row, "
                          f"has {[row[0] for row in cell]}")
-    return dispatch, tuple(beats_other)
+    return dispatch
 
 
-_DISPATCH, _BEATS_OTHER = _build_dispatch(GUARDS)
+_DISPATCH = _build_dispatch(GUARDS)
 
 
 # ---------------------------------------------------------------------------
@@ -345,6 +346,7 @@ class WeaveSpecifier(TournamentFamilySpecifier):
         self.version = Pairing.V2 if style == "sat" else Pairing.V1
         self.name = name or f"{style}:{codec.name}"
         self._cache = {}
+        self._cores = {}
         self._members = {}
 
     # -- classification ----------------------------------------------------
@@ -414,6 +416,26 @@ class WeaveSpecifier(TournamentFamilySpecifier):
             elif cond is None or cond(self, y, iy, x, ix):
                 return y
         raise RuntimeError(f"no guard decides {x} against {y}")
+
+    def _core_tournament(self, m, names=None):
+        """The positions of the length-m core strings among all 2**m, in
+        string order, and the guards' tournament on them, labeled by the
+        strings; built once per length.  ``names`` are the 2**m strings in
+        order, when the caller already holds them."""
+        got = self._cores.get(m)
+        if got is None:
+            if names is None:
+                names = [int_to_bits(v, m) for v in range(1 << m)]
+            infos = [self.classify(z) for z in names]
+            ids = [i for i, info in enumerate(infos) if info.cls != OTHER]
+            adj = np.zeros((len(ids), len(ids)), dtype=bool)
+            for (a, i), (b, j) in combinations(enumerate(ids), 2):
+                x_wins = self._winner(names[i], infos[i], names[j], infos[j]) is names[i]
+                adj[a, b] = x_wins
+                adj[b, a] = not x_wins
+            core = ExplicitDigraph.from_adjacency(adj, labels=[names[i] for i in ids])
+            got = self._cores[m] = (np.array(ids, dtype=np.intp), core)
+        return got
 
     def _guards_firing(self, x, ix, y, iy):
         """Every guard row that fires on the pair, in table order."""
@@ -504,29 +526,19 @@ def induced_graph(spec, m: int) -> ExplicitDigraph:
     """Materialize the length-m member of the family, labels = bit-strings.
 
     For the weaves only core x core pairs go through the guards: leftover
-    pairs follow the strict upper triangle (the smaller string wins) and a
-    core string's row and column hold its class's result against leftovers.
+    pairs follow the strict upper triangle (the smaller string wins), and a
+    core string beats every leftover.
     """
     check_strings_node_cap(m)
     count = 1 << m
     names = [int_to_bits(v, m) for v in range(count)]
     if isinstance(spec, WeaveSpecifier):
-        infos = [spec.classify(z) for z in names]
-        core = [i for i, info in enumerate(infos) if info.cls != OTHER]
-        ids = np.arange(count)
-        adj = ids[:, None] < ids[None, :]  # g17: the smaller leftover wins
-        for i in core:
-            beats = _BEATS_OTHER[infos[i].cls]
-            adj[i, :] = beats
-            adj[:, i] = not beats
-            adj[i, i] = False
-        winner = spec._winner
-        for a, i in enumerate(core):
-            x, ix = names[i], infos[i]
-            for j in core[a + 1:]:
-                x_wins = winner(x, ix, names[j], infos[j]) is x
-                adj[i, j] = x_wins
-                adj[j, i] = not x_wins
+        ids, core = spec._core_tournament(m, names)
+        order = np.arange(count)
+        adj = order[:, None] < order[None, :]  # g17: the smaller leftover wins
+        adj[ids, :] = True
+        adj[:, ids] = False
+        adj[np.ix_(ids, ids)] = core.adj
         return ExplicitDigraph.from_adjacency(adj, labels=names)
     rows = [bytearray(count) for _ in range(count)]
     sel = spec.select
@@ -545,37 +557,22 @@ def induced_graph(spec, m: int) -> ExplicitDigraph:
 def specifier_k_king(spec: TournamentFamilySpecifier, z: str, k: int) -> bool:
     """Is z a k-king of the induced tournament at its own length?
 
-    A breadth-first search on demand, via select calls only: step i finds
-    the strings first reached in i steps, and the last step stops at the
-    first string it cannot reach.
+    A weave answers on its core tournament: a leftover is no king, and a
+    core string is a k-king of the whole length iff it is one of the core.
+    Any other specifier materializes the length.
     """
     check_bits(z)
     if k < 1:
         raise ValueError("k must be at least 1")
     m = len(z)
-    check_node_cap(1 << m)
-    sel = spec.select
-    frontier = [z]
-    unreached = [w for w in all_bits(m) if w != z]
-    for steps_left in range(k, 0, -1):
-        if not unreached:
-            return True
-        new = []
-        still = []
-        for w in unreached:
-            for u in frontier:
-                if sel(u, w) == u:
-                    new.append(w)
-                    break
-            else:
-                if steps_left == 1:
-                    return False
-                still.append(w)
-        if not new:
+    check_strings_node_cap(m)
+    if isinstance(spec, WeaveSpecifier):
+        if spec.classify(z).cls == OTHER:
             return False
-        frontier = new
-        unreached = still
-    return True
+        g = spec._core_tournament(m)[1]
+    else:
+        g = induced_graph(spec, m)
+    return is_k_king(g, g.node_index(z), k)
 
 
 # ---------------------------------------------------------------------------

@@ -89,6 +89,13 @@ def test_huge_lengths_are_refused_before_two_to_the_length(tmp_path, capsys):
         assert "Traceback" not in out + err and err.count("\n") == 1, argv
 
 
+@pytest.mark.parametrize("command", ["validate", "assoc", "materialize"])
+def test_negative_lengths_are_usage_errors(capsys, command):
+    code, out, err = run(capsys, "spec", command, "--spec", "pi2", "--m", "-1")
+    assert code == 2 and out == ""
+    assert err == "error: length -1 is negative\n"
+
+
 def test_spec_materialize(tmp_path, capsys):
     code, out, _ = run(capsys, "spec", "materialize", "--spec", "max", "--m", "2")
     assert code == 0

@@ -20,7 +20,6 @@ from kings.digraph import (
     reach_within,
     recognize_jpartite_direct,
     recognize_jpartite_patterns,
-    underlying_graph,
 )
 from kings.generators import (
     enumerate_all_digraphs,
@@ -314,16 +313,6 @@ def test_check_tournament():
     assert not check_tournament(both)
     nothing = ExplicitDigraph(2)
     assert not check_tournament(nothing)
-
-
-def test_underlying_graph():
-    u = underlying_graph(cycle3())
-    assert all(u.has_edge(a, b) for a in range(3) for b in range(3) if a != b)
-    g = ExplicitDigraph.from_edges(3, [(0, 1)])
-    u = underlying_graph(g)
-    assert u.has_edge(0, 1) and u.has_edge(1, 0) and not u.has_edge(0, 2)
-    both = ExplicitDigraph.from_edges(2, [(0, 1), (1, 0)])
-    assert underlying_graph(both).has_edge(0, 1)
 
 
 def test_recognizer_examples():

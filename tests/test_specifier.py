@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from kings import specifier as S
-from kings.bitstrings import all_bits, int_to_bits
-from kings.digraph import check_tournament, is_k_king
+from kings.bitstrings import all_bits, check_bits, int_to_bits
+from kings.digraph import check_tournament, is_k_king, k_king_mask
 from kings.formula import (
     ForallExistsFormula,
     TTFECodec,
@@ -16,9 +16,11 @@ from kings.formula import (
     formula_from_table,
     parse_formula_input,
 )
-from kings.limits import CapExceeded
+from kings.limits import CapExceeded, check_node_cap
 from kings.pairing import Pairing, pair, unpair
+from kings.reductions import reduce_to_kings, reduce_to_kkings
 from kings.specifier import (
+    ANTENNA,
     GUARDS,
     MEMBER,
     OTHER,
@@ -298,7 +300,7 @@ _TABLES = {
 
 @pytest.mark.parametrize("table", sorted(_TABLES))
 def test_core_audit_reports_like_the_full_pair_walk(table, monkeypatch):
-    monkeypatch.setattr(S, "_DISPATCH", S._build_dispatch(_TABLES[table])[0])
+    monkeypatch.setattr(S, "_DISPATCH", S._build_dispatch(_TABLES[table]))
     for style, m, sample in (("taut", 8, None), ("taut", 8, 5000), ("sat", 9, 5000)):
         spec = _LopsidedWeave(style, TTPlainCodec(), name="lopsided")
         got = validate_specifier(spec, m, sample=sample, seed=3)
@@ -319,15 +321,13 @@ def _always(s, z, iz, w, iw):
     GUARDS + (("gx", (OTHER,), (MEMBER,), None),),  # second row in a cell
     tuple(row for row in GUARDS if row[0] != "g7"),  # member x other empty
     GUARDS[:-1] + (("g17", (OTHER,), (OTHER,), lambda s, z, iz, w, iw: z < w),),
+    tuple(("g16", (OTHER,), (ANTENNA,), None) if row[0] == "g16" else row
+          for row in GUARDS),  # antennas lose to every leftover
 ], ids=["conditional-added", "conditional-only", "two-rows", "no-row",
-        "undeclared-order"])
+        "undeclared-order", "leftover-wins"])
 def test_dispatch_refuses_a_leftover_cell_it_cannot_settle(guards):
     with pytest.raises(ValueError):
         S._build_dispatch(guards)
-
-
-def test_every_class_beats_leftovers():
-    assert all(S._BEATS_OTHER[c] for c in range(7) if c != OTHER)
 
 
 @pytest.mark.parametrize("k", [4, 5])
@@ -523,9 +523,90 @@ def test_specifier_k_king_paths_agree_with_materialization():
               for s in ("000", "010", "100", "110")]
     for z in nodes:
         want2 = is_k_king(g, g.node_index(z), 2)
-        assert specifier_k_king(spec, z, 2) == want2  # neighborhood sweep path
+        assert specifier_k_king(spec, z, 2) == want2
         assert specifier_k_king(spec, z, 3) == is_k_king(g, g.node_index(z), 3)
         assert specifier_k_king(spec, z, 1) == is_k_king(g, g.node_index(z), 1)
+
+
+def _bfs_k_king(spec, z, k):
+    """Breadth-first search on demand, via select calls only: step i finds
+    the strings first reached in i steps, and the last step stops at the
+    first string it cannot reach."""
+    check_bits(z)
+    if k < 1:
+        raise ValueError("k must be at least 1")
+    m = len(z)
+    check_node_cap(1 << m)
+    sel = spec.select
+    frontier = [z]
+    unreached = [w for w in all_bits(m) if w != z]
+    for steps_left in range(k, 0, -1):
+        if not unreached:
+            return True
+        new = []
+        still = []
+        for w in unreached:
+            for u in frontier:
+                if sel(u, w) == u:
+                    new.append(w)
+                    break
+            else:
+                if steps_left == 1:
+                    return False
+                still.append(w)
+        if not new:
+            return False
+        frontier = new
+        unreached = still
+    return True
+
+
+@pytest.mark.parametrize("name", _WEAVES + ["kkings:4", "max"])
+def test_specifier_k_king_matches_the_select_search_on_every_string(name):
+    spec = make_builtin_specifier(name)
+    for m in range(7):
+        for z in all_bits(m):
+            for k in (1, 2, 3, 4, 9):
+                assert specifier_k_king(spec, z, k) == _bfs_k_king(spec, z, k), (m, z, k)
+
+
+@pytest.mark.parametrize("name,m", [("conp", 8), ("np", 9)])
+def test_specifier_k_king_matches_the_select_search_on_the_core(name, m):
+    spec = make_builtin_specifier(name)
+    core = [z for z in all_bits(m) if spec.classify(z).cls != OTHER]
+    for z in core:
+        for k in (1, 2, 3):
+            assert specifier_k_king(spec, z, k) == _bfs_k_king(spec, z, k), (z, k)
+
+
+@pytest.mark.parametrize("name,m", [("pi2", 12), ("kkings:3", 13)])
+def test_specifier_k_king_matches_the_materialized_kings(name, m):
+    g = induced_graph(make_builtin_specifier(name), m)
+    spec = make_builtin_specifier(name)
+    core = [v for v, z in enumerate(g.labels) if spec.classify(z).cls != OTHER]
+    leftovers = sorted(set(range(g.num_nodes)) - set(core))
+    nodes = core + random.Random(11).sample(leftovers, 64)
+    for k in (1, 2, 3, 4, 10 ** 20):
+        want = k_king_mask(g, nodes, k)
+        got = [specifier_k_king(spec, g.label_of(v), k) for v in nodes]
+        assert got == want.tolist(), k
+        assert not want[len(core):].any()
+
+
+def test_specifier_k_king_matches_the_formula_oracle():
+    # the 16 pi2 potential kings at m=12 and the 16 catalog nodes of the
+    # 3-king weave at m=13, each against forall-exists truth
+    cases = [(pi2_specifier(), 2, reduce_to_kings(
+        "pi2", ForallExistsFormula(1, formula_from_table(2, int_to_bits(v, 4)))))
+        for v in range(16)]
+    spec = kkings_specifier(3)
+    cases += [(spec, 3, reduce_to_kkings(ForallExistsFormula(2, formula_from_table(4, t)), 3))
+              for t in spec.codec.tables]
+    for spec, k, inst in cases:
+        assert spec.classify(inst.node).cls != OTHER, inst.node
+        assert specifier_k_king(spec, inst.node, k) == inst.expected, inst.node
+    assert [inst.length for _, _, inst in cases] == [12] * 16 + [13] * 16
+    assert {inst.expected for _, _, inst in cases} == {False, True}
 
 
 # ---------------------------------------------------------------------------
