@@ -56,7 +56,7 @@ def _check_node_count(num_nodes: int) -> None:
 
 
 class ExplicitDigraph:
-    """Dense-node digraph with optional string labels."""
+    """Dense-node digraph with optional string labels, kept as a tuple."""
 
     def __init__(self, num_nodes: int, labels: Optional[Sequence[str]] = None):
         _check_node_count(num_nodes)
@@ -65,7 +65,7 @@ class ExplicitDigraph:
         self._labels = None
         self._label_index = None
         if labels is not None:
-            labels = list(labels)
+            labels = tuple(labels)
             if len(labels) != num_nodes:
                 raise ValueError("one label per node")
             self._labels = labels
@@ -531,7 +531,13 @@ def parse_graph_text(text: str) -> ExplicitDigraph:
         elif parts[0] == "label":
             if num is None or len(parts) < 3:
                 raise GraphParseError(f"line {lineno}: bad label line")
-            labels[int(parts[1])] = " ".join(parts[2:])
+            v = int(parts[1])
+            if not 0 <= v < num:
+                raise GraphParseError(f"line {lineno}: label for node {v} "
+                                      f"not in graph of {num} nodes")
+            if v in labels:
+                raise GraphParseError(f"line {lineno}: second label for node {v}")
+            labels[v] = " ".join(parts[2:])
         else:
             raise GraphParseError(f"line {lineno}: unknown directive {parts[0]!r}")
     if num is None:

@@ -178,11 +178,74 @@ def _member_suffixes(style: str, n: int) -> frozenset:
 _KIND_TO_STYLE = {"pi2": "fe", "conp": "taut", "np": "sat", "kkings": "fe"}
 
 
+class _TableProbe:
+    """A stand-in truth table: every entry reads ``answer``; reads are recorded.
+
+    It supports indexing alone, so a rule can consult it in no other way.
+    """
+
+    __slots__ = ("answer", "reads")
+
+    def __init__(self, answer):
+        self.answer = answer
+        self.reads = set()
+
+    def __getitem__(self, index):
+        self.reads.add(index)
+        return self.answer
+
+
+@lru_cache(maxsize=16)
+def _subtournament_template(style: str, n: int):
+    """The (style, n) tournament with its table-dependent edges left open.
+
+    Returns ``(suffixes, fixed, rows, cols, at)``: the sorted suffixes, a
+    read-only bool matrix of the edges no table entry decides, and ``intp``
+    arrays such that the edge ``rows[i] -> cols[i]`` exists iff
+    ``table[at[i]] == "1"`` and is reversed otherwise.  Each pair asks
+    ``_edge_rule_lt`` under an all-ones table that records the indices
+    read.  A pair that reads none has a fixed edge, since it reads none
+    under any table; a pair that reads one is asked again under an
+    all-zeros table, and equal answers make a fixed edge, different ones
+    an edge on the entry read.  A pair that reads two entries, or that a
+    "1" turns from an edge into a non-edge, is refused.
+    """
+    suffixes = tuple(sorted(_MEMBER_SUFFIX_BUILDERS[style](n)))
+    count = len(suffixes)
+    check_node_cap(count)
+    fixed = np.zeros((count, count), dtype=bool)
+    rows, cols, at = [], [], []
+    for i, w in enumerate(suffixes):
+        for j in range(i + 1, count):
+            ones = _TableProbe("1")
+            edge = _edge_rule_lt(style, ones, n, w, suffixes[j])
+            if ones.reads:
+                zeros = _TableProbe("0")
+                if_zeros = _edge_rule_lt(style, zeros, n, w, suffixes[j])
+                read = zeros.reads | ones.reads
+                if len(read) > 1 or if_zeros > edge:
+                    raise RuntimeError(f"{style} edge {w} -> {suffixes[j]} at n={n} "
+                                       "is not one table entry")
+                if if_zeros != edge:
+                    rows.append(i)
+                    cols.append(j)
+                    at.append(read.pop())
+                    continue
+            fixed[i, j], fixed[j, i] = edge, not edge
+    rows, cols, at = (np.array(a, dtype=np.intp) for a in (rows, cols, at))
+    for array in (fixed, rows, cols, at):
+        array.flags.writeable = False
+    return suffixes, fixed, rows, cols, at
+
+
 def build_subtournament(kind: str, phi) -> ExplicitDigraph:
     """The one-formula tournament, nodes labeled by their suffix strings.
 
     Node 0 is always the potential king (its suffix, all zeros, sorts
-    first).  ``kind`` is one of pi2 / conp / np.
+    first).  ``kind`` is one of pi2 / conp / np.  The edges that no table
+    entry decides come from a template cached per (style, n) and derived
+    from ``_edge_rule_lt`` (see ``_subtournament_template``); the rest are
+    filled from the formula's table in one indexed write.
     """
     if kind not in ("pi2", "conp", "np"):
         raise ValueError(f"unknown subtournament kind {kind!r}")
@@ -197,16 +260,11 @@ def build_subtournament(kind: str, phi) -> ExplicitDigraph:
             raise TypeError(f"{kind} subtournaments take propositional formulas")
         n = phi.num_vars
         table = phi.bits
-    suffixes = sorted(_MEMBER_SUFFIX_BUILDERS[style](n))
-    count = len(suffixes)
-    check_node_cap(count)
-    adj = np.zeros((count, count), dtype=bool)
-    for i, w in enumerate(suffixes):
-        for j in range(i + 1, count):
-            if _edge_rule_lt(style, table, n, w, suffixes[j]):
-                adj[i, j] = True
-            else:
-                adj[j, i] = True
+    suffixes, fixed, rows, cols, at = _subtournament_template(style, n)
+    won = np.frombuffer(table.encode("ascii"), dtype=np.uint8)[at] == ord("1")
+    adj = fixed.copy()
+    adj[rows, cols] = won
+    adj[cols, rows] = ~won
     return ExplicitDigraph.from_adjacency(adj, labels=suffixes)
 
 

@@ -39,6 +39,24 @@ def test_king_check_usage_errors(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("text, message", [
+    ("nodes 2\nedge 0 1\nlabel 7 a\nlabel -1 b\n",
+     "line 3: label for node 7 not in graph of 2 nodes"),
+    ("nodes 2\nedge 0 1\nlabel -1 b\n",
+     "line 3: label for node -1 not in graph of 2 nodes"),
+    ("nodes 2\nlabel 2 c\nedge 0 1\n",
+     "line 2: label for node 2 not in graph of 2 nodes"),
+    ("nodes 2\nlabel 0 a\nedge 0 1\nlabel 0 b\n",
+     "line 4: second label for node 0"),
+])
+def test_label_lines_must_name_each_node_once(tmp_path, capsys, text, message):
+    g = graph_file(tmp_path, text)
+    for argv in (("check", "--graph", g, "--node", "0", "--k", "1"), ("find", "--graph", g)):
+        code, out, err = run(capsys, "king", *argv)
+        assert code == 2 and out == "" and message in err
+        assert "Traceback" not in err
+
+
 def test_king_find(tmp_path, capsys):
     g = graph_file(tmp_path, CYCLE)
     code, out, _ = run(capsys, "king", "find", "--graph", g)

@@ -404,6 +404,13 @@ def test_graph_text_roundtrip():
     assert back.labels == g.labels
 
 
+def test_labels_are_read_only():
+    g = ExplicitDigraph.from_edges(2, [(0, 1)], labels=["a", "b"])
+    with pytest.raises(TypeError):
+        g.labels[0] = "z"
+    assert g.label_of(0) == "a" and g.node_index("a") == 0
+
+
 def test_graph_text_errors():
     with pytest.raises(GraphParseError):
         parse_graph_text("edge 0 1\n")  # missing node count

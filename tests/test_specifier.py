@@ -7,7 +7,7 @@ import pytest
 
 from kings import specifier as S
 from kings.bitstrings import all_bits, check_bits, int_to_bits
-from kings.digraph import check_tournament, is_k_king, k_king_mask
+from kings.digraph import ExplicitDigraph, check_tournament, is_k_king, k_king_mask
 from kings.formula import (
     ForallExistsFormula,
     TTFECodec,
@@ -468,6 +468,84 @@ def test_subtournaments_are_tournaments():
             else:
                 phi = formula_from_table(2, bits)
             assert check_tournament(build_subtournament(kind, phi))
+
+
+def _pair_loop_subtournament(kind, phi):
+    """The one-formula tournament built pair by pair from the scalar rule."""
+    style = S._KIND_TO_STYLE[kind]
+    if style == "fe":
+        n = phi.n
+        table = phi.matrix.bits
+    else:
+        n = phi.num_vars
+        table = phi.bits
+    suffixes = sorted(S._MEMBER_SUFFIX_BUILDERS[style](n))
+    count = len(suffixes)
+    check_node_cap(count)
+    adj = np.zeros((count, count), dtype=bool)
+    for i, w in enumerate(suffixes):
+        for j in range(i + 1, count):
+            if S._edge_rule_lt(style, table, n, w, suffixes[j]):
+                adj[i, j] = True
+            else:
+                adj[j, i] = True
+    return ExplicitDigraph.from_adjacency(adj, labels=suffixes)
+
+
+def _formula(kind, n, bits):
+    if kind == "pi2":
+        return ForallExistsFormula(n, formula_from_table(2 * n, bits))
+    return formula_from_table(n, bits)
+
+
+def _assert_matches_pair_loop(kind, n, tables):
+    for bits in tables:
+        phi = _formula(kind, n, bits)
+        g, want = build_subtournament(kind, phi), _pair_loop_subtournament(kind, phi)
+        assert np.array_equal(g.adj, want.adj), (kind, n, bits)
+        assert g.labels == want.labels, (kind, n, bits)
+
+
+@pytest.mark.parametrize("kind, n", [("pi2", 1)] + [(kind, n) for kind in ("conp", "np")
+                                                   for n in (1, 2, 3)])
+def test_subtournament_template_matches_the_pair_loop_on_every_table(kind, n):
+    width = (1 << (2 * n)) if kind == "pi2" else (1 << n)
+    _assert_matches_pair_loop(kind, n, [int_to_bits(t, width) for t in range(1 << width)])
+
+
+@pytest.mark.parametrize("kind, n, count", [("pi2", 2, 512), ("pi2", 3, 32)]
+                         + [(kind, n, 32) for kind in ("conp", "np") for n in (4, 5, 6)])
+def test_subtournament_template_matches_the_pair_loop_on_seeded_tables(kind, n, count):
+    width = (1 << (2 * n)) if kind == "pi2" else (1 << n)
+    rng = random.Random(f"{kind}:{n}")
+    _assert_matches_pair_loop(kind, n, [int_to_bits(rng.getrandbits(width), width)
+                                        for _ in range(count)])
+
+
+@pytest.mark.parametrize("rule", [
+    lambda style, table, n, w, w2: table[0] == "1" and table[1] == "1",
+    lambda style, table, n, w, w2: table[0] == "0",
+], ids=["two-entries", "one-turns-an-edge-off"])
+def test_template_refuses_a_rule_that_is_not_one_entry(monkeypatch, rule):
+    S._subtournament_template.cache_clear()
+    monkeypatch.setattr(S, "_edge_rule_lt", rule)
+    try:
+        with pytest.raises(RuntimeError, match="is not one table entry"):
+            build_subtournament("conp", formula_from_table(1, "11"))
+    finally:
+        S._subtournament_template.cache_clear()
+
+
+def test_subtournaments_own_their_adjacency():
+    fe = parse_formula_input("fe:n=2:tt:" + "0110" * 4)
+    first, second = build_subtournament("pi2", fe), build_subtournament("pi2", fe)
+    suffixes, fixed, rows, cols, at = S._subtournament_template("fe", 2)
+    assert not np.shares_memory(first.adj, second.adj)
+    assert not np.shares_memory(first.adj, fixed)
+    assert first.labels is suffixes
+    for array in (fixed, rows, cols, at):
+        with pytest.raises(ValueError):
+            array[0] = array[0]
 
 
 # ---------------------------------------------------------------------------
