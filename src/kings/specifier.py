@@ -609,7 +609,7 @@ def induced_graph(spec, m: int) -> ExplicitDigraph:
             else:
                 rows[j][i] = 1
     adj = np.frombuffer(b"".join(rows), dtype=np.uint8).reshape(count, count)
-    return ExplicitDigraph.from_adjacency(adj.astype(bool), labels=names)
+    return ExplicitDigraph.from_adjacency(adj, labels=names)
 
 
 def specifier_k_king(spec: TournamentFamilySpecifier, z: str, k: int) -> bool:
@@ -709,7 +709,8 @@ def validate_specifier(spec, m: int, sample: Optional[int] = None,
             report.pairs_checked = count * (count + 1) // 2
             pair_iter = combinations([z for z in names if classify(z).cls != OTHER], 2)
         else:
-            pair_iter = _core_pairs(report, pair_iter, classify)
+            report.pairs_checked = sample
+            pair_iter = _core_pairs(rng, count, m, sample, classify)
         for x, y in pair_iter:
             matches = fired(x, classify(x), y, classify(y))
             if len(matches) == 0 and len(report.guard_gaps) < _WITNESS_CAP:
@@ -738,12 +739,34 @@ def validate_specifier(spec, m: int, sample: Optional[int] = None,
     return report
 
 
-def _core_pairs(report, pairs, classify):
-    """Count every drawn pair; yield the distinct ones with no leftover side."""
-    for x, y in pairs:
-        report.pairs_checked += 1
-        if x != y and classify(x).cls != OTHER and classify(y).cls != OTHER:
-            yield x, y
+def _core_pairs(rng, count, m, sample, classify):
+    """The distinct drawn pairs with no leftover side, as strings, in draw
+    order.  Each pair draws two ints below count, as the other specifiers'
+    sampled pairs do; a drawn int is formatted and classified once, and
+    only a core string is kept."""
+    def core_name(v):
+        z = int_to_bits(v, m)
+        return z if classify(z).cls != OTHER else ""
+
+    draw = rng.randrange
+    core = {}  # drawn int -> core_name of it
+    pairs = []
+    for _ in range(sample):
+        a = draw(count)
+        b = draw(count)
+        if a == b:
+            continue
+        x = core.get(a)
+        if x is None:
+            x = core[a] = core_name(a)
+        if not x:
+            continue
+        y = core.get(b)
+        if y is None:
+            y = core[b] = core_name(b)
+        if y:
+            pairs.append((x, y))
+    return pairs
 
 
 def _check_select(report, spec, x, y):

@@ -2,6 +2,7 @@ import pytest
 
 from kings.cli import main
 from kings.digraph import format_graph_text, parse_graph_text
+from kings.specifier import induced_graph, make_builtin_specifier
 
 
 def run(capsys, *argv):
@@ -123,6 +124,23 @@ def test_spec_materialize(tmp_path, capsys):
     code, out, _ = run(capsys, "spec", "materialize", "--spec", "max", "--m", "2",
                        "--dot", str(dot))
     assert code == 0 and "->" in dot.read_text()
+
+
+@pytest.mark.parametrize("name", ["pi2", "conp", "np", "kkings:3"])
+def test_weave_graph_text_round_trips(name):
+    spec = make_builtin_specifier(name)
+    for m in range(4):
+        g = induced_graph(spec, m)
+        back = parse_graph_text(format_graph_text(g))
+        assert back.labels == g.labels and (back.adj == g.adj).all(), (name, m)
+
+
+def test_the_length_0_weave_goes_from_materialize_to_king_check(tmp_path, capsys):
+    code, out, _ = run(capsys, "spec", "materialize", "--spec", "pi2", "--m", "0")
+    assert code == 0 and out == "nodes 1\nlabel 0 \n"
+    g = graph_file(tmp_path, out)
+    code, out, err = run(capsys, "king", "check", "--graph", g, "--node", "0", "--k", "1")
+    assert code == 0 and out == "true\n" and err == ""
 
 
 def test_spec_validate(capsys):

@@ -27,6 +27,7 @@ from kings.generators import (
     random_multipartite_tournament,
 )
 from kings.limits import DEFAULT_NODE_CAP, CapExceeded
+from kings.specifier import induced_graph, pi2_specifier
 
 
 def cycle3():
@@ -180,6 +181,63 @@ def test_kings_only_last_step_matches_full_rows_on_random_graphs(monkeypatch):
             want = digraph._reach_block(g.adj, np.arange(n), k).all(axis=1)
             assert k_king_mask(g, range(n), k).tolist() == want.tolist(), (n, k)
             assert [is_k_king(g, v, k) for v in range(n)] == want.tolist(), (n, k)
+
+
+def last_witness_graph(n, s, unreached, rank, king, rng):
+    """Random edges, except that s beats all but `unreached` nodes, and the
+    missing node of the given rank is beaten by the highest node s beats,
+    if king, and by no node otherwise; each other missing node is beaten by
+    about half of the nodes s beats."""
+    others = np.array([v for v in range(n) if v != s])
+    missing = np.sort(rng.choice(others, unreached, replace=False))
+    adj = rng.random((n, n)) < 0.5
+    adj[s] = False
+    adj[s, np.setdiff1d(others, missing)] = True
+    t = missing[rank]
+    adj[:, t] = False
+    adj[np.flatnonzero(adj[s])[-1], t] = king
+    np.fill_diagonal(adj, False)
+    return ExplicitDigraph.from_adjacency(adj)
+
+
+@pytest.mark.parametrize("unreached", [BLOCK - 1, BLOCK, BLOCK + 1])
+def test_single_row_last_step_over_unreached_columns(monkeypatch, unreached):
+    """A source that leaves width - 1, width or width + 1 columns unreached
+    after one step, one of them first, in the middle or last, and reached
+    at step two through the frontier's last node only, or not at all."""
+    monkeypatch.setattr(digraph, "_block_size", lambda n: min(n, BLOCK))
+    covered = []
+    real = digraph._covers
+
+    def counted(adj, frontier, cols):
+        covered.append(len(cols))
+        return real(adj, frontier, cols)
+
+    monkeypatch.setattr(digraph, "_covers", counted)
+    n, s = 4 * BLOCK + 3, 2 * BLOCK
+    for seed, rank in enumerate((0, unreached // 2, unreached - 1)):
+        for king in (True, False):
+            g = last_witness_graph(n, s, unreached, rank, king,
+                                   np.random.default_rng([unreached, seed]))
+            assert np.count_nonzero(~bfs_reach(g, s, 1)) == unreached
+            assert is_k_king(g, s, 2) == king
+            for k in (1, 2, 3, 4):
+                want = [bool(bfs_reach(g, v, k).all()) for v in range(n)]
+                full_rows = digraph._reach_block(g.adj, np.arange(n), k).all(axis=1)
+                assert full_rows.tolist() == want, (rank, king, k)
+                assert [is_k_king(g, v, k) for v in range(n)] == want, (rank, king, k)
+    # s took the last step over its unreached columns iff they fit in a panel
+    assert (unreached in covered) == (unreached <= BLOCK)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_is_k_king_matches_the_mask_on_every_weave_node(k):
+    """pi2 at m = 12: 4,096 nodes in 32 panels, whose core nodes leave a
+    few columns unreached and whose leftovers miss many."""
+    g = induced_graph(pi2_specifier(), 12)
+    want = k_king_mask(g, range(g.num_nodes), k).tolist()
+    assert [is_k_king(g, v, k) for v in range(g.num_nodes)] == want
+    assert sum(want) == (49 if k == 2 else 97)
 
 
 @pytest.mark.parametrize("n", [5, 64, 65, 130])
@@ -434,7 +492,16 @@ def test_node_cap_is_checked_before_allocating():
         parse_graph_text(f"nodes {huge}\nlabel 0 a\nedge 0 1\n")
     with pytest.raises(CapExceeded):
         ExplicitDigraph(DEFAULT_NODE_CAP + 1)
+    with pytest.raises(CapExceeded):  # a view of one entry: no copy is made
+        ExplicitDigraph.from_adjacency(np.broadcast_to(False, (DEFAULT_NODE_CAP + 1,) * 2))
     assert ExplicitDigraph(DEFAULT_NODE_CAP).num_nodes == DEFAULT_NODE_CAP
+
+
+def test_from_adjacency_copies_its_input():
+    source = np.zeros((3, 3), dtype=bool)
+    g = ExplicitDigraph.from_adjacency(source)
+    source[0, 1] = True  # the caller's array stays writable and apart
+    assert not g.has_edge(0, 1) and not np.shares_memory(g.adj, source)
 
 
 def test_adjacency_is_read_only():

@@ -311,6 +311,53 @@ def test_core_audit_reports_like_the_full_pair_walk(table, monkeypatch):
         assert bool(got.guard_gaps) == (table == "gap")
 
 
+def _outcome(audit):
+    """The report of an audit, or the error that stopped it: under a gapped
+    table the select spot-check can draw a pair no guard decides."""
+    try:
+        return audit()
+    except RuntimeError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("table", sorted(_TABLES))
+def test_sampled_audit_draws_like_the_full_pair_walk(table, monkeypatch):
+    """pi2 at m = 10 (a core of one string) and 12, kkings:3 at m = 13, and
+    np at m = 3, where a pair often draws one core string twice; the planted
+    witnesses are pairs the two walks must draw alike."""
+    monkeypatch.setattr(S, "_DISPATCH", S._build_dispatch(_TABLES[table]))
+    witnesses = 0
+    for name, m, sample in (("pi2", 10, 5000), ("pi2", 12, 20000),
+                            ("kkings:3", 13, 30000), ("np", 3, 500)):
+        for seed in (0, 1, 2):
+            got = _outcome(lambda: validate_specifier(
+                make_builtin_specifier(name), m, sample=sample, seed=seed))
+            want = _outcome(lambda: _reference_validation(
+                make_builtin_specifier(name), m, sample, seed=seed))
+            assert got == want, (name, m, seed)
+            if isinstance(got, SpecifierValidation):
+                assert got.summary() == want.summary() and got.pairs_checked == sample
+                witnesses += len(got.guard_gaps) + len(got.guard_overlaps)
+    assert (witnesses > 0) == (table != "as-is")
+
+
+def test_sampled_audit_classifies_only_drawn_strings():
+    spec = pi2_specifier()
+    real = spec._classify
+    calls = []
+
+    def counted(z):
+        calls.append(z)
+        return real(z)
+
+    spec._classify = counted
+    report = validate_specifier(spec, 40, sample=1000)
+    assert report.passed and report.pairs_checked == 1000
+    # the pair draws classify a first string, and a second one only after a
+    # core first; the spot-check classifies both strings of its 2,000 pairs
+    assert len(calls) <= 2 * 1000 + 4000
+
+
 def _always(s, z, iz, w, iw):
     return True
 
