@@ -8,33 +8,29 @@ allocated.
 
 Depth-bounded reachability is one kernel over a frontier matrix.  Sources
 are taken in blocks of rows.  A step grows every live row of a block by the
-product of its frontier with the adjacency matrix, in float32 and one panel
-of columns at a time; a block with a single live row is grown by gathering
-the adjacency rows of its frontier instead.  A row leaves its block as soon
-as it reaches every node or stops growing, so any depth ends within n
-steps.  Block and panel sizes follow from the node count under one byte
-budget.  Products of 0/1 matrices are exact in float32 up to 2**24 nodes,
-far above the node cap, and ``> 0`` reads them as reachability.
-
-A product costs the same however few nodes a frontier holds.  So when a
-graph spans more than one panel, k_king_mask packs the adjacency rows 64
-columns to a word, and a block whose frontier rows hold at most n / 8
-nodes each is grown by ORing the packed rows of each row's nodes instead,
-one node slot at a time.  The early steps through a sparse digraph are
-such steps, and so are the late steps of a walk that has all but stopped
-growing, as in a weave's subtournaments after step two.
+nodes one edge beyond its frontier, and reads them from the adjacency
+packed 64 columns to a word by the method of Four Russians (Arlazarov,
+Dinic, Kronrod and Faradzev): for each group of four adjacency rows a table
+holds the OR of all 16 subsets, and a frontier row ORs one entry per group,
+the one its four bits there name.  A block whose frontier rows hold at most
+n / 8 nodes each ORs the packed rows of those nodes instead, and a block
+with a single live row gathers its frontier's adjacency rows.  A row leaves
+its block as soon as it reaches every node or stops growing, so any depth
+ends within n steps.  Block sizes, panels of as many columns as a block
+has rows, and table widths follow from the node count under one byte
+budget: the tables span every column up to 2048 nodes, and above that a
+range of columns at a time, built as it is read.
 
 Kingship asks less of the last step: only whether a row reaches every
 node.  So when the columns span more than one panel, the walk stops a step
-short, and the last step takes one panel at a time, by product or, for a
-single row, by gathering its frontier's adjacency rows over that panel
-alone.  After each panel a row with a column still unreached leaves as not
-a king; a row that reaches every node is a king, as before.  A single row
-whose unreached columns fit in one panel reads only those columns, 1, 2,
-4, ... at a time, and leaves at the first batch its frontier does not
-cover.  A core node of a weave leaves a few columns unreached after one
-step, and a leftover misses node 0, so either last step costs a few
-columns or one panel, not the n columns.
+short.  The rows of a block then read the tables over word 0 (nodes 0 to
+63) first and the other words after, and a row with a column still
+unreached leaves as not a king; a weave's leftover misses node 0 and leaves
+after one word.  A single row reads only its unreached columns, 1, 2, 4,
+... at a time and at most a panel at once, and leaves at the first batch
+its frontier does not cover.  A core node of a weave leaves a few columns
+unreached after one step and a leftover misses node 0, so either costs a
+few columns, not the n columns.
 """
 
 from __future__ import annotations
@@ -186,50 +182,115 @@ class MultipartiteTournament:
 # Kingship
 # ---------------------------------------------------------------------------
 
-# float32 bytes one operand of a frontier product may hold: a block of
-# frontier rows or a panel of adjacency columns, each n entries long.  At
-# n = 2048 that is 256 rows and 256 columns.
+# Bytes one operand of a frontier step may hold: a block of sources at four
+# bytes a node per row (its reach, frontier and grown rows and their packed
+# forms), the OR tables over one range of columns, or one chunk of gathered
+# table entries.  At n = 2048 a block is 256 rows and the tables span every
+# column.
 _OPERAND_BYTES = 1 << 21
 
-# with the packed adjacency at hand, a frontier whose rows hold at most
-# n // _SPARSE nodes each is grown by gathering, not by a product
+# a frontier whose rows hold at most n // _SPARSE nodes each is grown by
+# ORing the packed rows of its nodes, not through the tables
 _SPARSE = 8
 
 
 def _block_size(n: int) -> int:
-    """Sources per block and adjacency columns per panel on n nodes: 64 or
-    more below the node cap."""
+    """Sources per block and columns per panel on n nodes: 64 or more below
+    the node cap.  The OR tables span eight panels, so that they take
+    about 4 n x _block_size(n) <= _OPERAND_BYTES bytes."""
     return min(n, _OPERAND_BYTES // (4 * n))
 
 
-def _beyond(adj: np.ndarray, operand: np.ndarray, cols: slice) -> np.ndarray:
-    """Nodes in the column panel cols one edge beyond each frontier row.
+def _words(mask: np.ndarray, rows: int = 0) -> np.ndarray:
+    """The rows of a boolean matrix as bit strings, 64 columns a word, bit c
+    of word c // 64 being column c; zero rows follow, up to rows rows."""
+    n = mask.shape[1]
+    packed = np.zeros((max(rows, len(mask)), -(-n // 64) * 8), dtype=np.uint8)
+    packed[:len(mask), :-(-n // 8)] = np.packbits(mask, axis=1, bitorder="little")
+    return packed.view(np.uint64)
 
-    operand is a single frontier row as the indices of its nodes, whose
-    adjacency rows are gathered over the panel only, or more rows as a
-    float32 matrix, multiplied with the panel.
+
+def _unpack(words: np.ndarray, n: int) -> np.ndarray:
+    """The first n columns of bit strings from _words, as a boolean matrix."""
+    return np.unpackbits(words.view(np.uint8), axis=1, count=n,
+                         bitorder="little").view(bool)
+
+
+def _slots(frontier: np.ndarray) -> np.ndarray:
+    """The table entries each frontier row ORs, one column per row: entry
+    16 g + s for each group g of four nodes, s being the row's nodes in the
+    group as a 4-bit set."""
+    octets = np.packbits(frontier, axis=1, bitorder="little")
+    nibbles = np.empty((len(octets), 2 * octets.shape[1]), dtype=np.uint8)
+    nibbles[:, 0::2] = octets & 15
+    nibbles[:, 1::2] = octets >> 4
+    return np.arange(0, 16 * nibbles.shape[1], 16, dtype=np.int32)[:, None] + nibbles.T
+
+
+class _Packed:
+    """A graph's adjacency packed for the steps of many frontier rows.
+
+    bits holds the adjacency rows as from _words, with zero rows after the
+    last one up to a multiple of 8 and one more, the slot _gathered pads
+    with.  The OR tables (method of Four Russians) hold, for each group of
+    four adjacency rows, the OR of each of their 16 subsets, over a range of
+    `span` words.  A range that covers every word is built once; narrower
+    ones, on graphs of more than 2048 nodes, are built each time they are
+    read, so that no more than _OPERAND_BYTES of tables are held at once.
     """
-    if operand.ndim == 1:
-        return adj[operand, cols].any(axis=0, keepdims=True)
-    # the converted panel is dropped before the next one is made
-    return operand @ adj[:, cols].astype(np.float32) > 0
+
+    def __init__(self, adj: np.ndarray):
+        n = adj.shape[0]
+        self._rows = -(-n // 8) * 8
+        self.bits = _words(adj, self._rows + 1)
+        self.span = max(1, _block_size(n) // 8)
+        words = self.bits.shape[1]
+        self._whole = self._tables(0, words) if self.span >= words else None
+
+    def _tables(self, lo: int, hi: int) -> np.ndarray:
+        """Entry 16 g + s: words lo to hi of the OR of adjacency rows 4 g + j
+        over the bits j of s."""
+        quads = self.bits[:self._rows, lo:hi].reshape(-1, 4, hi - lo)
+        tables = np.empty((len(quads), 16, hi - lo), dtype=np.uint64)
+        tables[:, 0] = 0
+        for j in range(4):
+            np.bitwise_or(tables[:, :1 << j], quads[:, j, None],
+                          out=tables[:, 1 << j:2 << j])
+        return tables.reshape(-1, hi - lo)
+
+    def ored(self, slots: np.ndarray, lo: int, hi: int) -> np.ndarray:
+        """Words lo to hi of the nodes one edge beyond each frontier row,
+        from the row's table slots (_slots): the OR of those entries."""
+        tables = self._whole[:, lo:hi] if self._whole is not None else self._tables(lo, hi)
+        grown = np.zeros((slots.shape[1], hi - lo), dtype=np.uint64)
+        # gathered as (groups, rows, words) and reduced over the groups, a
+        # chunk of groups at a time; chunks of a quarter of _OPERAND_BYTES
+        # ran about 10% faster than whole ones at n = 2048 (2 MiB L2 a core)
+        chunk = max(1, _OPERAND_BYTES // 4 // grown.nbytes)
+        for start in range(0, len(slots), chunk):
+            grown |= np.bitwise_or.reduce(
+                np.take(tables, slots[start:start + chunk], axis=0), axis=0)
+        return grown
+
+    def grown(self, frontier: np.ndarray) -> np.ndarray:
+        """Nodes one edge beyond each row of the frontier matrix, through
+        the tables."""
+        slots = _slots(frontier)
+        words = np.empty((len(frontier), self.bits.shape[1]), dtype=np.uint64)
+        for lo, hi in self.ranges():
+            words[:, lo:hi] = self.ored(slots, lo, hi)
+        return _unpack(words, frontier.shape[1])
+
+    def ranges(self):
+        """(lo, hi) word ranges of at most span words, over every word."""
+        words = self.bits.shape[1]
+        return [(lo, min(lo + self.span, words)) for lo in range(0, words, self.span)]
 
 
-def _pack(adj: np.ndarray) -> np.ndarray:
-    """The rows of adj as bit strings, 64 columns a word, and a zero row
-    after the last one."""
-    n = adj.shape[0]
-    bits = np.zeros((n + 1, -(-n // 64) * 8), dtype=np.uint8)
-    bits[:n, :-(-n // 8)] = np.packbits(adj, axis=1)
-    return bits.view(np.uint64)
-
-
-def _gathered(bits, frontier: np.ndarray):
+def _gathered(bits: np.ndarray, frontier: np.ndarray):
     """Nodes one edge beyond each row of the frontier matrix, as the OR of
-    the packed adjacency rows (bits, from _pack) of the row's nodes; None
-    if bits is None or a row holds more than n // _SPARSE nodes."""
-    if bits is None:
-        return None
+    the packed adjacency rows (bits, from _Packed) of the row's nodes; None
+    if a row holds more than n // _SPARSE nodes."""
     counts = np.count_nonzero(frontier, axis=1)
     most = counts.max(initial=0)
     if most * _SPARSE > frontier.shape[1]:
@@ -241,27 +302,20 @@ def _gathered(bits, frontier: np.ndarray):
     words = np.zeros((len(frontier), bits.shape[1]), dtype=np.uint64)
     for column in slots.T:
         words |= bits[column]
-    return np.unpackbits(words.view(np.uint8), axis=1,
-                         count=frontier.shape[1]).view(bool)
+    return _unpack(words, frontier.shape[1])
 
 
-def _grow(adj: np.ndarray, frontier: np.ndarray, bits=None) -> np.ndarray:
-    """Nodes one edge beyond each row of the frontier matrix."""
+def _grow(adj: np.ndarray, frontier: np.ndarray, packed: Optional[_Packed]) -> np.ndarray:
+    """Nodes one edge beyond each row of the frontier matrix; packed, from
+    adj, is needed for two rows or more."""
     if len(frontier) == 1:
         return adj[frontier[0]].any(axis=0, keepdims=True)
-    grown = _gathered(bits, frontier)
-    if grown is not None:
-        return grown
-    width = _block_size(adj.shape[0])
-    rows = frontier.astype(np.float32)
-    grown = np.empty(frontier.shape, dtype=bool)
-    for c in range(0, adj.shape[0], width):
-        grown[:, c:c + width] = _beyond(adj, rows, slice(c, c + width))
-    return grown
+    grown = _gathered(packed.bits, frontier)
+    return grown if grown is not None else packed.grown(frontier)
 
 
-def _walk(adj: np.ndarray, sources, k: int, bits=None):
-    """The frontier walk from sources, k steps deep; bits as for _gathered.
+def _walk(adj: np.ndarray, sources, k: int, packed: Optional[_Packed] = None):
+    """The frontier walk from sources, k steps deep; packed as for _grow.
 
     Returns (reach, live, frontier).  Row i of reach marks the nodes
     sources[i] reaches by a path of length <= k.  A source leaves the walk
@@ -286,7 +340,7 @@ def _walk(adj: np.ndarray, sources, k: int, bits=None):
             live, reach, frontier = live[keep], reach[keep], frontier[keep]
             if not live.size:
                 return done, live, frontier
-        frontier = _grow(adj, frontier, bits)
+        frontier = _grow(adj, frontier, packed)
         frontier &= ~reach
         reach |= frontier
     if reach is not done:
@@ -294,70 +348,78 @@ def _walk(adj: np.ndarray, sources, k: int, bits=None):
     return done, live, frontier
 
 
-def _reach_block(adj: np.ndarray, sources, k: int, bits=None) -> np.ndarray:
+def _reach_block(adj: np.ndarray, sources, k: int, packed=None) -> np.ndarray:
     """Row i marks the nodes sources[i] reaches by a path of length <= k."""
-    return _walk(adj, sources, k, bits)[0]
+    return _walk(adj, sources, k, packed)[0]
 
 
-def _covers(adj: np.ndarray, frontier: np.ndarray, cols: np.ndarray) -> bool:
+def _covers(adj: np.ndarray, frontier: np.ndarray, cols: np.ndarray, most: int) -> bool:
     """True iff every column in cols has an edge from a node of frontier, a
     mask over the nodes.
 
-    The columns are taken in chunks of 1, 2, 4, ... and the first chunk
-    with a column no node reaches ends the search, so a miss among the first
-    columns costs a gather of a few columns, not of all of them.
+    The columns are taken in chunks of 1, 2, 4, ..., up to most, and the
+    first chunk with a column no node reaches ends the search, so a miss
+    among the first columns costs a gather of a few columns, not of all of
+    them.
     """
+    rows = np.flatnonzero(frontier)
     start, size = 0, 1
     while start < len(cols):
-        # taking whole columns and then the rows is three times as fast as
-        # gathering rows and columns at once (np.ix_) at 4,096 nodes
-        if not np.take(adj, cols[start:start + size], axis=1)[frontier].any(axis=0).all():
+        if not adj[np.ix_(rows, cols[start:start + size])].any(axis=0).all():
             return False
         start += size
-        size *= 2
+        size = min(2 * size, most)
     return True
 
 
-def _king_block(adj: np.ndarray, sources, k: int, bits=None) -> np.ndarray:
-    """Entry i is True iff sources[i] reaches every node within k steps.
+def _reaches_all(packed: _Packed, reach: np.ndarray, frontier: np.ndarray) -> np.ndarray:
+    """Entry i is True iff row i of reach, with the nodes one edge beyond
+    row i of frontier, holds every node.
 
-    The walk stops one step short, and the last step asks only whether a
-    row reaches every node: it takes the columns a panel at a time, and a
-    row leaves as "not a king" at the first panel with a column it does not
-    reach.  A single row whose unreached columns fit in one panel asks
-    about those columns alone (_covers).  With one step, or with every
-    column in one panel, the last step is the walk's own; a sparse frontier
-    of many rows gathers whole rows.
+    A sparse frontier gathers whole rows.  Otherwise the tables are read
+    word 0 first, then the other words a table range at a time, and a row
+    leaves at the first range with a column it misses.  A weave's leftover
+    misses node 0, so it leaves after one word.
+    """
+    grown = _gathered(packed.bits, frontier)
+    if grown is not None:
+        return (reach | grown).all(axis=1)
+    missing = _words(~reach)
+    slots = _slots(frontier)
+    rows = np.arange(len(reach))
+    for lo, hi in [(0, 1), *packed.ranges()]:
+        hit = ~(missing[:, lo:hi] & ~packed.ored(slots, lo, hi)).any(axis=1)
+        if not hit.all():
+            rows, missing, slots = rows[hit], missing[hit], slots[:, hit]
+            if not rows.size:
+                break
+    kings = np.zeros(len(reach), dtype=bool)
+    kings[rows] = True
+    return kings
+
+
+def _king_block(adj: np.ndarray, sources, k: int, packed=None) -> np.ndarray:
+    """Entry i is True iff sources[i] reaches every node within k steps;
+    packed as for _grow.
+
+    With one step, or with every column in one panel, this is the walk's
+    own reach.  Otherwise the walk stops one step short, and the last step
+    asks only whether a row reaches every node: rows of a block through the
+    tables (_reaches_all), and a single row over its unreached columns
+    alone, 1, 2, 4, ... at a time and at most a panel at once (_covers).
     """
     n = adj.shape[0]
     width = _block_size(n)
     if k == 1 or width == n:
-        return _reach_block(adj, sources, k, bits).all(axis=1)
-    reach, live, frontier = _walk(adj, sources, k - 1, bits)
+        return _reach_block(adj, sources, k, packed).all(axis=1)
+    reach, live, frontier = _walk(adj, sources, k - 1, packed)
     kings = reach.all(axis=1)
     going = frontier.any(axis=1) & ~kings[live]
-    live = live[going]
-    if not live.size:
-        return kings
-    frontier = frontier[going]
-    if len(live) == 1 and n - np.count_nonzero(reach[live[0]]) <= width:
-        kings[live] = _covers(adj, frontier[0], np.flatnonzero(~reach[live[0]]))
-        return kings
-    grown = _gathered(bits, frontier) if len(live) > 1 else None
-    if grown is not None:
-        kings[live] = (reach[live] | grown).all(axis=1)
-        return kings
-    operand = (np.flatnonzero(frontier[0]) if len(live) == 1
-               else frontier.astype(np.float32))
-    for c in range(0, n, width):
-        cols = slice(c, c + width)
-        hit = (reach[live, cols] | _beyond(adj, operand, cols)).all(axis=1)
-        if not hit.all():
-            live = live[hit]
-            if not live.size:
-                return kings
-            operand = operand[hit]  # two or more rows, so a matrix
-    kings[live] = True
+    live, frontier = live[going], frontier[going]
+    if len(live) == 1:
+        kings[live] = _covers(adj, frontier[0], np.flatnonzero(~reach[live[0]]), width)
+    elif live.size:
+        kings[live] = _reaches_all(packed, reach[live], frontier)
     return kings
 
 
@@ -381,13 +443,12 @@ def k_king_mask(g: ExplicitDigraph, sources, k: int) -> np.ndarray:
     if bad.size:
         raise ValueError(f"node {bad[0]} not in graph of {n} nodes")
     block = _block_size(n)
-    # the packed rows serve the sparse steps of blocks of many rows, in
-    # graphs that span more than one panel
-    bits = _pack(g.adj) if k > 1 and len(sources) > 1 and block < n else None
+    # packed once for every step of every block of many rows
+    packed = _Packed(g.adj) if k > 1 and len(sources) > 1 else None
     kings = np.zeros(len(sources), dtype=bool)
     for start in range(0, len(sources), block):
         kings[start:start + block] = _king_block(g.adj, sources[start:start + block], k,
-                                                 bits)
+                                                 packed)
     return kings
 
 

@@ -1,5 +1,6 @@
 import random
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -132,6 +133,13 @@ def test_kernel_matches_bfs_around_the_block_size(monkeypatch, n):
         assert_kernel_matches_bfs(g, range(0, 7))
 
 
+def full_row_kings(g, k):
+    """The k-kings of g as rows of the whole walk, without the kings-only
+    last step."""
+    sources = np.arange(g.num_nodes)
+    return digraph._reach_block(g.adj, sources, k, digraph._Packed(g.adj)).all(axis=1)
+
+
 def late_column_graph(n, s, t, rng):
     """Random edges, except that s reaches every node within two steps but
     t, which it first reaches at step three, through a = t + 1 (mod n)."""
@@ -160,7 +168,7 @@ def test_kings_only_last_step_matches_both_oracles(monkeypatch, n, where):
     assert bfs_reach(g, s, 3).all()
     for k in (1, 2, 3, 4, n + 5):  # the last is past every eccentricity
         want = [bool(bfs_reach(g, v, k).all()) for v in range(n)]
-        full_rows = digraph._reach_block(g.adj, np.arange(n), k).all(axis=1)
+        full_rows = full_row_kings(g, k)
         assert full_rows.tolist() == want, k
         assert [is_k_king(g, v, k) for v in range(n)] == want, k
         assert k_king_mask(g, range(n), k).tolist() == want, k
@@ -178,7 +186,7 @@ def test_kings_only_last_step_matches_full_rows_on_random_graphs(monkeypatch):
         np.fill_diagonal(adj, False)
         g = ExplicitDigraph.from_adjacency(adj)
         for k in range(1, 6):
-            want = digraph._reach_block(g.adj, np.arange(n), k).all(axis=1)
+            want = full_row_kings(g, k)
             assert k_king_mask(g, range(n), k).tolist() == want.tolist(), (n, k)
             assert [is_k_king(g, v, k) for v in range(n)] == want.tolist(), (n, k)
 
@@ -200,20 +208,26 @@ def last_witness_graph(n, s, unreached, rank, king, rng):
     return ExplicitDigraph.from_adjacency(adj)
 
 
-@pytest.mark.parametrize("unreached", [BLOCK - 1, BLOCK, BLOCK + 1])
+@pytest.mark.parametrize("unreached", [BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5])
 def test_single_row_last_step_over_unreached_columns(monkeypatch, unreached):
-    """A source that leaves width - 1, width or width + 1 columns unreached
-    after one step, one of them first, in the middle or last, and reached
-    at step two through the frontier's last node only, or not at all."""
+    """A source that leaves fewer, as many or more columns unreached after
+    one step than a panel holds, one of them first, in the middle or last,
+    and reached at step two through the frontier's last node only, or not
+    at all."""
     monkeypatch.setattr(digraph, "_block_size", lambda n: min(n, BLOCK))
-    covered = []
-    real = digraph._covers
+    covered, chunks = [], []
+    real_covers, real_ix = digraph._covers, np.ix_
 
-    def counted(adj, frontier, cols):
+    def counted(adj, frontier, cols, most):
         covered.append(len(cols))
-        return real(adj, frontier, cols)
+        return real_covers(adj, frontier, cols, most)
+
+    def chunk(rows, cols):
+        chunks.append(len(cols))
+        return real_ix(rows, cols)
 
     monkeypatch.setattr(digraph, "_covers", counted)
+    monkeypatch.setattr(digraph.np, "ix_", chunk)
     n, s = 4 * BLOCK + 3, 2 * BLOCK
     for seed, rank in enumerate((0, unreached // 2, unreached - 1)):
         for king in (True, False):
@@ -223,11 +237,13 @@ def test_single_row_last_step_over_unreached_columns(monkeypatch, unreached):
             assert is_k_king(g, s, 2) == king
             for k in (1, 2, 3, 4):
                 want = [bool(bfs_reach(g, v, k).all()) for v in range(n)]
-                full_rows = digraph._reach_block(g.adj, np.arange(n), k).all(axis=1)
+                full_rows = full_row_kings(g, k)
                 assert full_rows.tolist() == want, (rank, king, k)
                 assert [is_k_king(g, v, k) for v in range(n)] == want, (rank, king, k)
-    # s took the last step over its unreached columns iff they fit in a panel
-    assert (unreached in covered) == (unreached <= BLOCK)
+    # s took the last step over its unreached columns, whatever their
+    # number, and no chunk of them spanned more than a panel
+    assert unreached in covered
+    assert max(chunks) == BLOCK if unreached > 2 * BLOCK else max(chunks) <= BLOCK
 
 
 @pytest.mark.parametrize("k", [2, 3])
@@ -240,6 +256,12 @@ def test_is_k_king_matches_the_mask_on_every_weave_node(k):
     assert sum(want) == (49 if k == 2 else 97)
 
 
+def float32_step(adj, frontier):
+    """Oracle: the nodes one edge beyond each frontier row, by the float32
+    product of the frontier with the adjacency that the tables replaced."""
+    return frontier.astype(np.float32) @ adj.astype(np.float32) > 0
+
+
 @pytest.mark.parametrize("n", [5, 64, 65, 130])
 def test_packed_gather_matches_the_product(n):
     """Frontier rows of 0 up to n // _SPARSE nodes, with n a multiple of 64
@@ -247,22 +269,84 @@ def test_packed_gather_matches_the_product(n):
     rng = np.random.default_rng([n, 12])
     adj = rng.random((n, n)) < 0.3
     np.fill_diagonal(adj, False)
-    bits = digraph._pack(adj)
+    bits = digraph._Packed(adj).bits
     most = n // digraph._SPARSE
     for _ in range(20):
         frontier = np.zeros((9, n), dtype=bool)
         for row, count in enumerate(rng.integers(0, most + 1, len(frontier))):
             frontier[row, rng.choice(n, count, replace=False)] = True
         got = digraph._gathered(bits, frontier)
-        assert got.tolist() == digraph._grow(adj, frontier).tolist()
-    frontier[0, :most + 1] = True  # one row too many nodes: the product's
+        assert got.tolist() == float32_step(adj, frontier).tolist()
+    frontier[0, :most + 1] = True  # one row too many nodes: the tables'
     assert digraph._gathered(bits, frontier) is None
-    assert digraph._gathered(None, frontier[1:]) is None
+
+
+@pytest.mark.parametrize("split", [False, True])
+@pytest.mark.parametrize("n", [1, 3, 4, 5, 63, 64, 65, 127, 129, 725])
+def test_packed_tables_match_the_product(monkeypatch, n, split):
+    """The table step and the tables' kings-only last step, bit for bit
+    against the float32 product, on frontier rows of no node, n // _SPARSE
+    nodes, half the nodes and every node; with split, the tables cover one
+    word at a time.  Then the walk through them against the per-node BFS."""
+    if split:
+        monkeypatch.setattr(digraph, "_block_size", lambda n: min(n, 8))
+    rng = np.random.default_rng([n, 14])
+    adj = rng.random((n, n)) < 0.3
+    np.fill_diagonal(adj, False)
+    unbeaten = rng.choice(n, max(1, n // 16), replace=False)
+    adj[:, unbeaten] = False  # columns that no frontier covers
+    packed = digraph._Packed(adj)
+    words = -(-n // 64)
+    assert len(packed.ranges()) == (words if split else 1)
+    for count in (0, n // digraph._SPARSE, n // 2, n):
+        frontier = np.zeros((2 * words + 3, n), dtype=bool)
+        for row in frontier:
+            row[rng.choice(n, count, replace=False)] = True
+        want = float32_step(adj, frontier)
+        assert packed.grown(frontier).tolist() == want.tolist(), count
+        # the even rows miss one unbeaten column, in any word
+        reach = ~want
+        for row, col in enumerate(rng.choice(unbeaten, len(reach))):
+            reach[row, col] = row % 2
+        kings = (reach | want).all(axis=1)
+        assert digraph._reaches_all(packed, reach, frontier).tolist() == kings.tolist()
+    g = ExplicitDigraph.from_adjacency(adj)
+    sources = np.arange(n)
+    for k in (1, 2, 3):
+        want = [bfs_reach(g, v, k).tolist() for v in range(n)]
+        assert digraph._reach_block(g.adj, sources, k, packed).tolist() == want, k
+        assert k_king_mask(g, sources, k).tolist() == [all(row) for row in want], k
+
+
+def test_tables_stay_within_the_operand_budget():
+    """k_king_mask on a 4096-node tournament holds tables over a quarter of
+    the columns at a time, and at the node cap over one sixteenth, so that
+    no more than _OPERAND_BYTES of tables are held at once; whole-width
+    tables would take 8 MiB and 32 MiB."""
+    budget = digraph._OPERAND_BYTES
+    n = 4096
+    rng = np.random.default_rng(15)
+    up = np.triu(rng.random((n, n)) < 0.5, 1)
+    g = ExplicitDigraph.from_adjacency(up | np.triu(~up, 1).T)
+    del up
+    tracemalloc.start()
+    try:
+        kings = k_king_mask(g, range(n), 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert kings[np.argmax(g.adj.sum(axis=1))]  # Landau's king
+    # the packed adjacency (n * n / 8 bytes), one table range, one block's
+    # rows and one chunk of gathered entries, with room to spare
+    assert peak <= 5 * budget, peak / budget
+    capped = digraph._Packed(np.broadcast_to(False, (DEFAULT_NODE_CAP,) * 2))
+    assert capped.span * 64 == 512 and len(capped.ranges()) == 16
+    assert capped._tables(*capped.ranges()[0]).nbytes <= budget
 
 
 def test_sparse_steps_gather_and_match_both_oracles(monkeypatch):
     """k_king_mask on sparse graphs that span several panels, whose walk
-    and last steps gather, against the per-node BFS and the products."""
+    and last steps gather, against the per-node BFS and the tables."""
     monkeypatch.setattr(digraph, "_block_size", lambda n: min(n, BLOCK))
     gathered = []
     real = digraph._gathered
@@ -282,8 +366,8 @@ def test_sparse_steps_gather_and_match_both_oracles(monkeypatch):
         g = ExplicitDigraph.from_adjacency(adj)
         for k in (1, 2, 5, 9, n // 2, n):
             want = [bool(bfs_reach(g, v, k).all()) for v in range(n)]
-            products = digraph._reach_block(g.adj, np.arange(n), k).all(axis=1)
-            assert products.tolist() == want, (n, k)
+            tables = full_row_kings(g, k)
+            assert tables.tolist() == want, (n, k)
             assert k_king_mask(g, range(n), k).tolist() == want, (n, k)
     assert sum(gathered) > 100
 
