@@ -30,10 +30,14 @@ what makes the rule well defined, commutative and selecting.
 
 Core/leftover split.  Almost every string is a leftover (class OTHER; 177
 of 8192 at kkings:3 m=13 are not); the others form the length's core.  The
-class dispatch built from ``GUARDS`` is checked once, at import: every cell
-with one OTHER side must hold exactly one unconditional row, won by the
-other class, and the OTHER x OTHER cell must hold only the declared strict
-order ``_smaller_wins``, which decides each leftover pair exactly once by
+core is listed by construction, not found by classifying every string: it
+is the all-zeros string, the specials, and ``pair(enc, w)`` for the one
+encoding length that fits m, so its cost is its size, and a core past the
+node cap is refused before any of it is formed.  The class dispatch built
+from ``GUARDS`` is checked once, at import: every cell with one OTHER side
+must hold exactly one unconditional row, won by the other class, and the
+OTHER x OTHER cell must hold only the declared strict order
+``_smaller_wins``, which decides each leftover pair exactly once by
 trichotomy.  So every core string beats every leftover, and leftovers beat
 the leftovers above them.  ``induced_graph`` starts from the strict upper
 triangle, makes every core row True and every core column False and copies
@@ -49,13 +53,13 @@ from __future__ import annotations
 
 import random
 from functools import lru_cache
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, islice
 from dataclasses import dataclass, field
 from typing import List, Optional
 
 import numpy as np
 
-from .bitstrings import all_bits, check_bits, int_to_bits
+from .bitstrings import all_bits, bits_to_int, check_bits, int_to_bits
 from .digraph import ExplicitDigraph, all_k_kings, is_k_king
 from .formula import (
     CatalogCodec,
@@ -68,12 +72,13 @@ from .formula import (
 from .limits import (
     DEFAULT_PAIR_BUDGET,
     DEFAULT_TRIPLE_BUDGET,
+    DEFAULT_VAR_CAP,
     CapExceeded,
     check_length_cap,
     check_node_cap,
     check_strings_node_cap,
 )
-from .pairing import Pairing, unpair
+from .pairing import Pairing, pair, unpair
 
 # node classes
 ZERO, MARKER, MEMBER, ANTENNA, OTHER, SPECIAL_A, SPECIAL_B = range(7)
@@ -420,10 +425,15 @@ class WeaveSpecifier(TournamentFamilySpecifier):
         if enc in self._members:
             return self._members[enc]
         params = self.codec.decode_params(enc)
-        if params is not None and self.style == "fe" and params[0] <= self.k - 2:
-            params = None  # too few universal variables for this k
+        if params is not None and not self._indexes_members(params[0]):
+            params = None
         self._members[enc] = params
         return params
+
+    def _indexes_members(self, n):
+        """Do n-variable formulas index members?  The forall-exists weave
+        needs more than k - 2 universal variables to hang its antennas."""
+        return self.style != "fe" or n > self.k - 2
 
     def _classify(self, z):
         m = len(z)
@@ -475,25 +485,58 @@ class WeaveSpecifier(TournamentFamilySpecifier):
                 return y
         raise RuntimeError(f"no guard decides {x} against {y}")
 
-    def _core_tournament(self, m, names=None):
-        """The positions of the length-m core strings among all 2**m, in
-        string order, and the guards' tournament on them, labeled by the
-        strings; built once per length.  ``names`` are the 2**m strings in
-        order, when the caller already holds them."""
-        got = self._cores.get(m)
-        if got is None:
-            if names is None:
-                names = [int_to_bits(v, m) for v in range(1 << m)]
+    def _core(self, m):
+        """The length-m core strings in string order, listed by construction.
+
+        The core is the all-zeros string, the two specials of the sat weave,
+        and ``pair(enc, w)`` for every encoding enc of an n-variable formula
+        and every marker, member or antenna suffix w of width n + 2, where
+        2|enc| + 1 + n + 2 == m (V1) or 2|enc| + 2 + n + 2 == m (V2).  Each
+        codec accepts every encoding of the length it gives for n, so the
+        count is known before any string is formed; past the node cap it
+        raises CapExceeded.
+        """
+        sep = 1 if self.version is Pairing.V1 else 2
+        groups = []  # (encoding length, suffixes) of each n that fits m
+        for n in range(1, DEFAULT_VAR_CAP + 1):
+            length = self.codec.encoding_length_for(n)
+            if length is None or 2 * length + sep + n + 2 != m \
+                    or not self._indexes_members(n):
+                continue
+            suffixes = {"01" + "0" * n} | _member_suffixes(self.style, n)
+            if self.style == "fe":
+                suffixes |= {"0" * (n + 2 - level) + "1" * level
+                             for level in range(1, self.k - 1)}
+            groups.append((length, suffixes))
+        specials = 2 if self.style == "sat" and m >= 2 else 0
+        check_node_cap(1 + specials + sum(len(w) << length for length, w in groups))
+        core = ["0" * m] + ["0" * (m - 1) + "1", "1" + "0" * (m - 1)][:specials]
+        for length, suffixes in groups:
+            for v in range(1 << length):
+                enc = int_to_bits(v, length)
+                if self._decode_member(enc) is not None:
+                    head = pair(self.version, enc, "")
+                    core += [head + w for w in suffixes]
+        return sorted(core)
+
+    def _core_tournament(self, m):
+        """The guards' tournament on the length-m core, labeled by the core
+        strings in string order; built once per length."""
+        core = self._cores.get(m)
+        if core is None:
+            names = self._core(m)
             infos = [self.classify(z) for z in names]
-            ids = [i for i, info in enumerate(infos) if info.cls != OTHER]
-            adj = np.zeros((len(ids), len(ids)), dtype=bool)
-            for (a, i), (b, j) in combinations(enumerate(ids), 2):
-                x_wins = self._winner(names[i], infos[i], names[j], infos[j]) is names[i]
-                adj[a, b] = x_wins
-                adj[b, a] = not x_wins
-            core = ExplicitDigraph.from_adjacency(adj, labels=[names[i] for i in ids])
-            got = self._cores[m] = (np.array(ids, dtype=np.intp), core)
-        return got
+            for z, info in zip(names, infos):
+                if info.cls == OTHER:
+                    raise RuntimeError(f"listed core string {z} is a leftover")
+            won = np.fromiter((self._winner(x, ix, y, iy) is x for (x, ix), (y, iy)
+                               in combinations(zip(names, infos), 2)), dtype=bool)
+            rows, cols = np.triu_indices(len(names), 1)
+            adj = np.zeros((len(names), len(names)), dtype=bool)
+            adj[rows, cols] = won
+            adj[cols, rows] = ~won
+            core = self._cores[m] = ExplicitDigraph.from_adjacency(adj, labels=names)
+        return core
 
     def _guards_firing(self, x, ix, y, iy):
         """Every guard row that fires on the pair, in table order."""
@@ -591,7 +634,8 @@ def induced_graph(spec, m: int) -> ExplicitDigraph:
     count = 1 << m
     names = [int_to_bits(v, m) for v in range(count)]
     if isinstance(spec, WeaveSpecifier):
-        ids, core = spec._core_tournament(m, names)
+        core = spec._core_tournament(m)
+        ids = np.array([bits_to_int(z) for z in core.labels], dtype=np.intp)
         order = np.arange(count)
         adj = order[:, None] < order[None, :]  # g17: the smaller leftover wins
         adj[ids, :] = True
@@ -627,7 +671,7 @@ def specifier_k_king(spec: TournamentFamilySpecifier, z: str, k: int) -> bool:
     if isinstance(spec, WeaveSpecifier):
         if spec.classify(z).cls == OTHER:
             return False
-        g = spec._core_tournament(m)[1]
+        g = spec._core_tournament(m)
     else:
         g = induced_graph(spec, m)
     return is_k_king(g, g.node_index(z), k)
@@ -696,19 +740,17 @@ def validate_specifier(spec, m: int, sample: Optional[int] = None,
         if total_pairs > DEFAULT_PAIR_BUDGET:
             raise CapExceeded(
                 f"{total_pairs} pairs exceeds the budget {DEFAULT_PAIR_BUDGET}")
-        names = [int_to_bits(v, m) for v in range(count)]
-        pair_iter = combinations_with_replacement(names, 2)
-    else:
-        pair_iter = ((int_to_bits(rng.randrange(count), m),
-                      int_to_bits(rng.randrange(count), m)) for _ in range(sample))
 
     if isinstance(spec, WeaveSpecifier):
         fired = spec._guards_firing
         classify = spec.classify
         if sample is None:
             report.pairs_checked = count * (count + 1) // 2
-            pair_iter = combinations([z for z in names if classify(z).cls != OTHER], 2)
+            pair_iter = combinations(spec._core(m), 2)
         else:
+            # The sampled audit runs at every length up to the length cap,
+            # also where the core is past the node cap (655,361 strings at
+            # pi2 m=37) and cannot be listed, so it classifies what it draws.
             report.pairs_checked = sample
             pair_iter = _core_pairs(rng, count, m, sample, classify)
         for x, y in pair_iter:
@@ -722,6 +764,12 @@ def validate_specifier(spec, m: int, sample: Optional[int] = None,
             _check_select(report, spec, int_to_bits(rng.randrange(count), m),
                           int_to_bits(rng.randrange(count), m))
     else:
+        if sample is None:
+            names = [int_to_bits(v, m) for v in range(count)]
+            pair_iter = combinations_with_replacement(names, 2)
+        else:
+            pair_iter = ((int_to_bits(rng.randrange(count), m),
+                          int_to_bits(rng.randrange(count), m)) for _ in range(sample))
         for x, y in pair_iter:
             report.pairs_checked += 1
             _check_select(report, spec, x, y)
@@ -871,10 +919,17 @@ def check_associativity(spec, m: int, sample: Optional[int] = None,
 
 
 def _representatives(spec, m):
+    """Two strings of each node class, the first two in string order, with
+    the classes in order of first appearance.  For a weave the core, listed
+    by construction, and the two smallest leftovers stand in for all 2**m
+    strings, since every other string is a leftover."""
     if not isinstance(spec, WeaveSpecifier):
         return ["0" * m, "1" * m, int_to_bits((1 << m) // 3, m)]
+    core = spec._core(m)
+    taken = {bits_to_int(z) for z in core}
+    leftovers = islice((v for v in range(1 << m) if v not in taken), 2)
     seen = {}
-    for z in all_bits(m):
+    for z in sorted(core + [int_to_bits(v, m) for v in leftovers]):
         bucket = seen.setdefault(spec.classify(z).cls, [])
         if len(bucket) < 2:
             bucket.append(z)

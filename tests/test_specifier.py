@@ -1,12 +1,12 @@
 import hashlib
 import random
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement
 
 import numpy as np
 import pytest
 
 from kings import specifier as S
-from kings.bitstrings import all_bits, check_bits, int_to_bits
+from kings.bitstrings import all_bits, bits_to_int, check_bits, int_to_bits
 from kings.digraph import ExplicitDigraph, check_tournament, is_k_king, k_king_mask
 from kings.formula import (
     ForallExistsFormula,
@@ -407,6 +407,119 @@ def test_guard_table_is_a_partition_for_long_antennas(k):
     assert classify_node(spec, a1).level == 1
     assert classify_node(spec, a2).level == 2
     assert spec.select(a1, a2) == spec.select(a2, a1) == a2
+
+
+# ---------------------------------------------------------------------------
+# the core, listed by construction
+# ---------------------------------------------------------------------------
+
+_CORE_WEAVES = ["pi2", "conp", "np", "kkings:2", "kkings:3", "kkings:4", "pi2:ttfe",
+                "kkings:3:ttfe", "conp:ttplain", "np:ttplain"]
+
+
+@pytest.mark.parametrize("name", _CORE_WEAVES)
+def test_core_is_the_classified_core(name):
+    spec = make_builtin_specifier(name)
+    for m in range(17):
+        assert spec._core(m) == [z for z in all_bits(m) if spec.classify(z).cls != OTHER], m
+    # and the classification re-derived from the codec, through m = 13,
+    # where the catalog's 2-variable formulas would first index members
+    for m in range(14):
+        assert spec._core(m) == [z for z in all_bits(m)
+                                 if _reference_category(spec, z) != "other"], m
+
+
+@pytest.mark.parametrize("name", _WEAVES)
+def test_exhaustive_audit_asks_the_guards_about_every_core_pair(name):
+    spec = make_builtin_specifier(name)
+    real = spec._guards_firing
+    asked = []
+
+    def counted(x, ix, y, iy):
+        asked.append((x, y))
+        return real(x, ix, y, iy)
+
+    spec._guards_firing = counted
+    for m in (8, 9, 12, 13):
+        asked.clear()
+        assert validate_specifier(spec, m).passed
+        core = [z for z in all_bits(m) if spec.classify(z).cls != OTHER]
+        assert asked == list(combinations(core, 2)), m
+
+
+def _classified_core_tournament(spec, m):
+    """The core tournament found by classifying all 2**m strings: the core
+    positions among them, in string order, and the guards' tournament on
+    the core, labeled by the strings."""
+    names = [int_to_bits(v, m) for v in range(1 << m)]
+    infos = [spec.classify(z) for z in names]
+    ids = [i for i, info in enumerate(infos) if info.cls != OTHER]
+    adj = np.zeros((len(ids), len(ids)), dtype=bool)
+    for (a, i), (b, j) in combinations(enumerate(ids), 2):
+        x_wins = spec._winner(names[i], infos[i], names[j], infos[j]) is names[i]
+        adj[a, b] = x_wins
+        adj[b, a] = not x_wins
+    return ids, ExplicitDigraph.from_adjacency(adj, labels=[names[i] for i in ids])
+
+
+@pytest.mark.parametrize("name", _CORE_WEAVES)
+def test_core_tournament_matches_the_classified_build(name):
+    for m in range(15):
+        ids, want = _classified_core_tournament(make_builtin_specifier(name), m)
+        got = make_builtin_specifier(name)._core_tournament(m)
+        assert [bits_to_int(z) for z in got.labels] == ids, m
+        assert got.labels == want.labels and np.array_equal(got.adj, want.adj), m
+
+
+def test_core_tournament_refuses_a_gapped_table(monkeypatch):
+    monkeypatch.setattr(S, "_DISPATCH", S._build_dispatch(_TABLES["gap"]))
+    for name, m in (("pi2", 12), ("conp", 8), ("kkings:3", 13)):
+        with pytest.raises(RuntimeError, match="no guard decides"):
+            _classified_core_tournament(make_builtin_specifier(name), m)
+        with pytest.raises(RuntimeError, match="no guard decides"):
+            make_builtin_specifier(name)._core_tournament(m)
+
+
+def test_core_tournament_refuses_a_listed_leftover():
+    spec = pi2_specifier()
+    spec._core = lambda m: ["0" * m, "1" * m]
+    with pytest.raises(RuntimeError, match="is a leftover"):
+        spec._core_tournament(12)
+
+
+def test_a_core_past_the_node_cap_is_refused_before_classifying():
+    # pi2 m=37 pairs the 65,536 two-variable matrices: 655,361 core strings
+    spec = pi2_specifier()
+    real = spec._classify
+    calls = []
+
+    def counted(z):
+        calls.append(z)
+        return real(z)
+
+    spec._classify = counted
+    with pytest.raises(CapExceeded, match="655361 nodes"):
+        spec._core(37)
+    with pytest.raises(CapExceeded, match="655361 nodes"):
+        check_associativity(spec, 37, sample=5)
+    assert calls == []
+
+
+def _scanned_representatives(spec, m):
+    """Two strings of each class from a scan of all 2**m strings."""
+    seen = {}
+    for z in all_bits(m):
+        bucket = seen.setdefault(spec.classify(z).cls, [])
+        if len(bucket) < 2:
+            bucket.append(z)
+    return [z for bucket in seen.values() for z in bucket]
+
+
+@pytest.mark.parametrize("name", _CORE_WEAVES)
+def test_representatives_match_the_full_scan(name):
+    spec = make_builtin_specifier(name)
+    for m in range(15):
+        assert S._representatives(spec, m) == _scanned_representatives(spec, m), m
 
 
 # sha256 over the winner of every same-length pair (i < j in string order)
