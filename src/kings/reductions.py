@@ -638,11 +638,14 @@ def _suite_weave_kkings(report, seed, sample, k=3, m=13):
 
 
 def _audit_kkings_reach(spec, g, node, enc, k):
-    """Nodes reached within k-2 steps must fall in the four allowed kinds."""
-    for idx in np.flatnonzero(reach_within(g, node, k - 2)):
-        info = spec.classify(g.label_of(int(idx)))
-        if info.cls == OTHER:
+    """Core nodes reached within k-2 steps must fall in the three allowed
+    kinds.  Leftovers are allowed and never classified: g is the induced
+    graph, whose node ids are the strings' values, and its core is listed."""
+    reached = reach_within(g, node, k - 2)
+    for z in spec._core(len(g.label_of(node))):
+        if not reached[bits_to_int(z)]:
             continue
+        info = spec.classify(z)
         if info.cls == MEMBER and info.pk and info.phi == enc:
             continue
         if info.cls == ANTENNA:

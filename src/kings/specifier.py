@@ -46,15 +46,30 @@ exhaustive guard audit in ``validate_specifier`` walks only core x core
 pairs.  ``specifier_k_king`` answers on the core tournament alone: a core
 string reaches every leftover in one step and no leftover leads back into
 the core, while a leftover never beats the all-zeros string, which is core
-at every length.
+at every length.  So a weave's ``spec king`` on a core string is bounded by
+its core, not by the 2**m strings.
+
+Block rule.  A second import-time check, ``_check_formula_reads``, runs
+every condition of a cell with no leftover side on probe ``_Info`` objects
+whose formula answers only ``==``, ``!=`` and order comparisons against
+another formula, and whose truth table records reads; a condition that
+asks the formula anything else, reads a string, or reads a table when the
+two formulas differ is refused.  So a core pair's winner depends only on
+each side's key (class, n, suffix, level, pk), on whether the formulas are
+lower, higher or the same (or one side has none), and inside one formula
+on that formula's table.  ``_core_tournament`` makes one ``_winner`` call
+per (key, key, order) cell on a representative pair, asks each
+same-formula cell under probe tables for the one table entry it turns on,
+and fills the core from the cells and the stacked tables.
 """
 
 from __future__ import annotations
 
 import random
 from functools import lru_cache
-from itertools import combinations, combinations_with_replacement, islice
+from itertools import combinations, combinations_with_replacement, islice, product
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 from typing import List, Optional
 
 import numpy as np
@@ -200,6 +215,29 @@ class _TableProbe:
         return self.answer
 
 
+def _table_read(decide):
+    """How ``decide(table) -> bool`` depends on a truth table.
+
+    Returns ``(answer, entry)``: ``entry`` is None when no table entry
+    changes the answer, else the one entry that does, and ``answer`` is the
+    decision when that entry reads "1".  Decide is asked under an all-ones
+    table that records the indices read.  If it reads none, its answer is
+    fixed, since it reads none under any table; if it reads one, it is
+    asked again under an all-zeros table, and equal answers are fixed.
+    Returns None when decide reads two entries.
+    """
+    ones = _TableProbe("1")
+    answer = decide(ones)
+    if len(ones.reads) != 1:
+        return None if ones.reads else (answer, None)
+    zeros = _TableProbe("0")
+    if_zeros = decide(zeros)
+    read = ones.reads | zeros.reads
+    if len(read) > 1:
+        return None
+    return answer, (None if if_zeros == answer else read.pop())
+
+
 @lru_cache(maxsize=16)
 def _subtournament_template(style: str, n: int):
     """The (style, n) tournament with its table-dependent edges left open.
@@ -208,12 +246,8 @@ def _subtournament_template(style: str, n: int):
     read-only bool matrix of the edges no table entry decides, and ``intp``
     arrays such that the edge ``rows[i] -> cols[i]`` exists iff
     ``table[at[i]] == "1"`` and is reversed otherwise.  Each pair asks
-    ``_edge_rule_lt`` under an all-ones table that records the indices
-    read.  A pair that reads none has a fixed edge, since it reads none
-    under any table; a pair that reads one is asked again under an
-    all-zeros table, and equal answers make a fixed edge, different ones
-    an edge on the entry read.  A pair that reads two entries, or that a
-    "1" turns from an edge into a non-edge, is refused.
+    ``_edge_rule_lt`` through ``_table_read``; a pair that reads two
+    entries, or that a "1" turns from an edge into a non-edge, is refused.
     """
     suffixes = tuple(sorted(_MEMBER_SUFFIX_BUILDERS[style](n)))
     count = len(suffixes)
@@ -222,21 +256,17 @@ def _subtournament_template(style: str, n: int):
     rows, cols, at = [], [], []
     for i, w in enumerate(suffixes):
         for j in range(i + 1, count):
-            ones = _TableProbe("1")
-            edge = _edge_rule_lt(style, ones, n, w, suffixes[j])
-            if ones.reads:
-                zeros = _TableProbe("0")
-                if_zeros = _edge_rule_lt(style, zeros, n, w, suffixes[j])
-                read = zeros.reads | ones.reads
-                if len(read) > 1 or if_zeros > edge:
-                    raise RuntimeError(f"{style} edge {w} -> {suffixes[j]} at n={n} "
-                                       "is not one table entry")
-                if if_zeros != edge:
-                    rows.append(i)
-                    cols.append(j)
-                    at.append(read.pop())
-                    continue
-            fixed[i, j], fixed[j, i] = edge, not edge
+            rule = _table_read(lambda table: _edge_rule_lt(style, table, n, w, suffixes[j]))
+            if rule is None or rule[1] is not None and not rule[0]:
+                raise RuntimeError(f"{style} edge {w} -> {suffixes[j]} at n={n} "
+                                   "is not one table entry")
+            edge, entry = rule
+            if entry is None:
+                fixed[i, j], fixed[j, i] = edge, not edge
+            else:
+                rows.append(i)
+                cols.append(j)
+                at.append(entry)
     rows, cols, at = (np.array(a, dtype=np.intp) for a in (rows, cols, at))
     for array in (fixed, rows, cols, at):
         array.flags.writeable = False
@@ -327,16 +357,123 @@ GUARDS = (
 )
 
 
+class _FormulaProbe:
+    """A stand-in formula of a given rank for the guard gate.
+
+    It compares with another probe by rank (==, !=, <, <=, >, >=), and
+    answers == and != against None, the formula of a formula-free class.
+    Every other use raises TypeError.
+    """
+
+    __slots__ = ("rank",)
+
+    def __init__(self, rank):
+        self.rank = rank
+
+    def _rank_of(self, other):
+        if not isinstance(other, _FormulaProbe):
+            raise TypeError(f"a formula compared with {type(other).__name__}")
+        return other.rank
+
+    def __eq__(self, other):
+        return other is not None and self.rank == self._rank_of(other)
+
+    def __ne__(self, other):
+        return not self == other
+
+    def __lt__(self, other):
+        return self.rank < self._rank_of(other)
+
+    def __le__(self, other):
+        return self.rank <= self._rank_of(other)
+
+    def __gt__(self, other):
+        return self.rank > self._rank_of(other)
+
+    def __ge__(self, other):
+        return self.rank >= self._rank_of(other)
+
+    def _refuse(self, *args):
+        raise TypeError("a formula may only be compared with another")
+
+    __getattr__ = __getitem__ = __len__ = __iter__ = __contains__ = _refuse
+    __bool__ = __hash__ = __str__ = __repr__ = __format__ = _refuse
+
+
+_FORMULA_FREE = (ZERO, SPECIAL_A, SPECIAL_B)
+
+
+def _probe_infos(style, cls, rank, table):
+    """Stand-in ``_Info`` objects of class cls, one per key a one-variable
+    formula gives the class in the style's weave (antennas at levels 1 and
+    2), with formula ``_FormulaProbe(rank)`` and the given truth table."""
+    if cls in _FORMULA_FREE:
+        return [_Info(cls)]
+    phi = _FormulaProbe(rank)
+    if cls == MARKER:
+        return [_Info(MARKER, phi, 1, "010", table=table)]
+    if cls == MEMBER:
+        return [_Info(MEMBER, phi, 1, w, pk="1" not in w, table=table)
+                for w in _MEMBER_SUFFIX_BUILDERS[style](1)]
+    return [_Info(ANTENNA, phi, 1, "0" * (3 - level) + "1" * level, level=level, table=table)
+            for level in (1, 2)]
+
+
+def _check_formula_reads(guards):
+    """Refuse (ValueError) a guard table that tells core strings apart by
+    more than their keys and the order of their formulas.
+
+    A key is (class, n, suffix, level, pk).  Every condition of a cell with
+    no leftover side runs, in each weave style, on probe ``_Info`` pairs
+    whose formulas are ``_FormulaProbe`` objects of lower, equal and higher
+    rank, whose truth tables are ``_TableProbe`` objects shared only by
+    equal formulas, and whose strings are None.  A condition that uses a
+    formula other than by comparing it with another, reads a string, or
+    reads a truth table when the two formulas differ is refused.  Passing
+    is what lets ``_core_tournament`` decide a whole class block by one
+    representative pair.
+    """
+    for style in _MEMBER_SUFFIX_BUILDERS:
+        spec = SimpleNamespace(style=style)
+        for name, winners, losers, cond in guards:
+            if cond is None:
+                continue
+            for cz, cw in product(winners, losers):
+                if OTHER in (cz, cw):
+                    continue  # the core holds no leftover
+                both_formulas = cz not in _FORMULA_FREE and cw not in _FORMULA_FREE
+                for rank in (-1, 0, 1):
+                    tz, tw = _TableProbe("1"), _TableProbe("1")
+                    if rank == 0:
+                        tw = tz
+                    for iz, iw in product(_probe_infos(style, cz, 0, tz),
+                                          _probe_infos(style, cw, rank, tw)):
+                        if rank == 0 and (iz.cls, iz.suffix) == (iw.cls, iw.suffix):
+                            continue  # one string, not a pair
+                        try:
+                            cond(spec, None, iz, None, iw)
+                        except Exception as exc:
+                            raise ValueError(
+                                f"guard {name} reads more of {_CATEGORY_NAMES[cz]} x "
+                                f"{_CATEGORY_NAMES[cw]} than keys and formula order: "
+                                f"{exc}") from exc
+                    if (tz.reads or tw.reads) and not (rank == 0 and both_formulas):
+                        raise ValueError(f"guard {name} reads a truth table of "
+                                         f"{_CATEGORY_NAMES[cz]} x {_CATEGORY_NAMES[cw]} "
+                                         "across two formulas")
+
+
 def _build_dispatch(guards):
     """The class dispatch of a guard table.
 
     cell [cx][cy]: the rows that can fire on (x, y), in table order, as
     (name, condition, x_wins); each row appears once per orientation.
-    Raises ValueError unless every cell with one OTHER side holds exactly
-    one unconditional row, won by the other class, and the OTHER x OTHER
-    cell holds only the two orientations of one ``_smaller_wins`` row (any
-    row there has both).
+    Raises ValueError if ``_check_formula_reads`` refuses the table, and
+    unless every cell with one OTHER side holds exactly one unconditional
+    row, won by the other class, and the OTHER x OTHER cell holds only the
+    two orientations of one ``_smaller_wins`` row (any row there has both).
     """
+    _check_formula_reads(guards)
     cells = [[[] for _ in range(7)] for _ in range(7)]
     for name, winners, losers, cond in guards:
         for cz in winners:
@@ -521,7 +658,20 @@ class WeaveSpecifier(TournamentFamilySpecifier):
 
     def _core_tournament(self, m):
         """The guards' tournament on the length-m core, labeled by the core
-        strings in string order; built once per length."""
+        strings in string order; built once per length, by class blocks.
+
+        ``_check_formula_reads`` lets a guard see a core string only
+        through its key (class, n, suffix, level, pk), the order of the two
+        formulas and, inside one formula, that formula's truth table.  So a
+        pair's winner is its (key, key, order) cell's, where the order is
+        lower, or one side formula-free, or the same formula.  One
+        ``_winner`` call on a representative pair decides each cell of
+        different formulas.  A same-formula cell is asked once on the first
+        formula that has it, under probe tables (``_table_read``): most
+        read no entry, and the rest are filled from the one entry they
+        read, gathered from the stacked tables of all the formulas.  One
+        pass over the key and rank arrays fills everything else.
+        """
         core = self._cores.get(m)
         if core is None:
             names = self._core(m)
@@ -529,14 +679,79 @@ class WeaveSpecifier(TournamentFamilySpecifier):
             for z, info in zip(names, infos):
                 if info.cls == OTHER:
                     raise RuntimeError(f"listed core string {z} is a leftover")
-            won = np.fromiter((self._winner(x, ix, y, iy) is x for (x, ix), (y, iy)
-                               in combinations(zip(names, infos), 2)), dtype=bool)
-            rows, cols = np.triu_indices(len(names), 1)
-            adj = np.zeros((len(names), len(names)), dtype=bool)
-            adj[rows, cols] = won
-            adj[cols, rows] = ~won
+            adj = self._core_adjacency(names, infos)
             core = self._cores[m] = ExplicitDigraph.from_adjacency(adj, labels=names)
         return core
+
+    def _core_adjacency(self, names, infos):
+        """The adjacency of ``_core_tournament``, by class blocks."""
+        keys = {}
+        key = [keys.setdefault((i.cls, i.n, i.suffix, i.level, i.pk), len(keys))
+               for i in infos]
+        # formulas ranked in their order; each formula-free string on its own
+        order = {phi: r for r, phi in enumerate(sorted({i.phi for i in infos} - {None}))}
+        rank = [-1 - s if i.phi is None else order[i.phi] for s, i in enumerate(infos)]
+        low, high = {}, {}  # key -> its string of lowest and of highest rank
+        formulas = {}  # rank -> the formula's strings, in string order
+        for s in sorted(range(len(names)), key=rank.__getitem__):
+            low.setdefault(key[s], s)
+            high[key[s]] = s
+            if rank[s] >= 0:
+                formulas.setdefault(rank[s], []).append(s)
+        # cells[0][a, b]: does key a beat key b of a higher formula (or with
+        # a formula-free side)?  cells[1][a, b]: ... of the same formula?
+        cells = np.zeros((2, len(keys), len(keys)), dtype=bool)
+        for a, x in low.items():
+            for b, y in high.items():
+                if rank[x] < rank[y]:
+                    cells[0, a, b] = self._winner(names[x], infos[x], names[y],
+                                                  infos[y]) is names[x]
+        blocks = {}  # key sequence -> its formulas' strings
+        for ids in formulas.values():
+            blocks.setdefault(tuple(key[s] for s in ids), []).append(ids)
+        reads = [self._same_formula_cells(names, infos, ids[0], key, cells[1])
+                 for ids in blocks.values()]
+        key, rank = np.array(key), np.array(rank)
+        adj = np.where(rank[:, None] < rank, cells[0][key][:, key], (~cells[0].T)[key][:, key])
+        np.copyto(adj, cells[1][key][:, key], where=rank[:, None] == rank)
+        for ids, (rows, cols, entries, answers) in zip(blocks.values(), reads):
+            if entries:
+                ids = np.array(ids)
+                tables = np.frombuffer("".join(infos[s].table for s in ids[:, 0])
+                                       .encode("ascii"), dtype=np.uint8).reshape(len(ids), -1)
+                won = (tables[:, entries] == ord("1")) == answers
+                adj[ids[:, rows], ids[:, cols]] = won
+                adj[ids[:, cols], ids[:, rows]] = ~won
+        return adj
+
+    def _same_formula_cells(self, names, infos, first, key, same):
+        """Ask every pair of one formula's strings ``first`` under probe
+        tables.  A pair that reads no entry sets its two cells of ``same``;
+        the others are returned as lists (rows, cols, entries, answers):
+        the two positions in ``first``, the entry read, and the winner of
+        the row side when that entry is "1".
+        """
+        probes = [_Info(i.cls, i.phi, i.n, i.suffix, i.level, i.pk)
+                  for i in (infos[s] for s in first)]
+        reads = ([], [], [], [])
+        for a, b in combinations(range(len(first)), 2):
+            x, y, ix, iy = names[first[a]], names[first[b]], probes[a], probes[b]
+
+            def decide(table):
+                ix.table = iy.table = table
+                return self._winner(x, ix, y, iy) is x
+
+            rule = _table_read(decide)
+            if rule is None:
+                raise RuntimeError(f"{x} against {y} is not one table entry")
+            answer, entry = rule
+            if entry is None:
+                same[key[first[a]], key[first[b]]] = answer
+                same[key[first[b]], key[first[a]]] = not answer
+            else:
+                for out, value in zip(reads, (a, b, entry, answer)):
+                    out.append(value)
+        return reads
 
     def _guards_firing(self, x, ix, y, iy):
         """Every guard row that fires on the pair, in table order."""
@@ -661,18 +876,24 @@ def specifier_k_king(spec: TournamentFamilySpecifier, z: str, k: int) -> bool:
 
     A weave answers on its core tournament: a leftover is no king, and a
     core string is a k-king of the whole length iff it is one of the core.
-    Any other specifier materializes the length.
+    So a core string is bounded by its core, which ``_core`` refuses past
+    the node cap, not by the 2**m strings.  A leftover past the node cap
+    is still refused, as every string there was before the core
+    tournament: ``perfbench/test_perfbench.py`` sends one as its example of
+    a capped request.  Any other specifier materializes the length.
     """
     check_bits(z)
     if k < 1:
         raise ValueError("k must be at least 1")
     m = len(z)
-    check_strings_node_cap(m)
     if isinstance(spec, WeaveSpecifier):
+        check_length_cap(m)
         if spec.classify(z).cls == OTHER:
+            check_strings_node_cap(m)
             return False
         g = spec._core_tournament(m)
     else:
+        check_strings_node_cap(m)
         g = induced_graph(spec, m)
     return is_k_king(g, g.node_index(z), k)
 

@@ -2,6 +2,7 @@ import pytest
 
 from kings.cli import main
 from kings.digraph import format_graph_text, parse_graph_text
+from kings.pairing import Pairing, pair
 from kings.specifier import induced_graph, make_builtin_specifier
 
 
@@ -88,6 +89,25 @@ def test_spec_king_cap_exceeded(capsys):
     code, _, err = run(capsys, "spec", "king", "--spec", "max",
                        "--node", "0" * 20, "--k", "2")
     assert code == 3 and "cap" in err
+
+
+def test_weave_spec_king_is_bounded_by_the_core_not_the_length(capsys):
+    # conp at m=22 pairs the 256 three-variable tables: a core of 2,817
+    # strings among 2**22
+    def spec_king(spec, node):
+        return run(capsys, "spec", "king", "--spec", spec, "--node", node, "--k", "2")
+
+    assert spec_king("conp", "0000000000000000111001") == (1, "false\n", "")
+    assert spec_king("conp", pair(Pairing.V1, "11111111", "00000")) == (0, "true\n", "")
+    for table in ("11111110", "00000000"):
+        assert spec_king("conp", pair(Pairing.V1, table, "00000")) == (1, "false\n", "")
+    # a leftover past the node cap is refused, as before the core tournament
+    code, _, err = spec_king("conp", "1" * 22)
+    assert code == 3 and "2**22 nodes exceeds" in err
+    # pi2 at m=37 pairs the 65,536 two-variable matrices: 655,361 core strings
+    code, out, err = spec_king("pi2", pair(Pairing.V1, "0110" * 4, "0000"))
+    assert code == 3 and "655361 nodes exceeds" in err
+    assert "Traceback" not in out + err and err.count("\n") == 1
 
 
 def test_huge_lengths_are_refused_before_two_to_the_length(tmp_path, capsys):

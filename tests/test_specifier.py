@@ -16,7 +16,7 @@ from kings.formula import (
     formula_from_table,
     parse_formula_input,
 )
-from kings.limits import CapExceeded, check_node_cap
+from kings.limits import DEFAULT_NODE_CAP, CapExceeded, check_node_cap
 from kings.pairing import Pairing, pair, unpair
 from kings.reductions import reduce_to_kings, reduce_to_kkings
 from kings.specifier import (
@@ -462,6 +462,40 @@ def _classified_core_tournament(spec, m):
     return ids, ExplicitDigraph.from_adjacency(adj, labels=[names[i] for i in ids])
 
 
+def _pair_loop_core_tournament(spec, m):
+    """The guards' tournament on the listed core, one ``_winner`` call per
+    pair: the build that class blocks replace."""
+    names = spec._core(m)
+    infos = [spec.classify(z) for z in names]
+    won = np.fromiter((spec._winner(x, ix, y, iy) is x for (x, ix), (y, iy)
+                       in combinations(zip(names, infos), 2)), dtype=bool)
+    rows, cols = np.triu_indices(len(names), 1)
+    adj = np.zeros((len(names), len(names)), dtype=bool)
+    adj[rows, cols] = won
+    adj[cols, rows] = ~won
+    return ExplicitDigraph.from_adjacency(adj, labels=names)
+
+
+def _assert_same_tournament(got, want, where):
+    assert got.labels == want.labels and np.array_equal(got.adj, want.adj), where
+
+
+@pytest.mark.parametrize("name", _CORE_WEAVES)
+def test_core_tournament_matches_the_pair_loop(name):
+    for m in range(17):
+        _assert_same_tournament(make_builtin_specifier(name)._core_tournament(m),
+                                _pair_loop_core_tournament(make_builtin_specifier(name), m),
+                                m)
+
+
+@pytest.mark.parametrize("name,m", [("conp", 22), ("np", 23)])
+def test_core_tournament_matches_the_pair_loop_past_the_node_cap(name, m):
+    spec = make_builtin_specifier(name)
+    assert len(spec._core(m)) > 2000 and 1 << m > DEFAULT_NODE_CAP
+    _assert_same_tournament(spec._core_tournament(m),
+                            _pair_loop_core_tournament(make_builtin_specifier(name), m), m)
+
+
 @pytest.mark.parametrize("name", _CORE_WEAVES)
 def test_core_tournament_matches_the_classified_build(name):
     for m in range(15):
@@ -485,6 +519,41 @@ def test_core_tournament_refuses_a_listed_leftover():
     spec._core = lambda m: ["0" * m, "1" * m]
     with pytest.raises(RuntimeError, match="is a leftover"):
         spec._core_tournament(12)
+
+
+def _planted(name, cond):
+    """GUARDS with the condition of row ``name`` replaced."""
+    return tuple(row[:3] + (cond,) if row[0] == name else row for row in GUARDS)
+
+
+def test_the_guards_read_formulas_only_by_order():
+    S._check_formula_reads(GUARDS)
+    S._check_formula_reads(_TABLES["gap"])
+
+
+@pytest.mark.parametrize("guards", [
+    _planted("g4", lambda s, z, iz, w, iw: iz.phi[0] < iw.phi[0]),
+    _planted("g10", lambda s, z, iz, w, iw: len(iz.phi) > 0 and iz.phi < iw.phi),
+    _planted("g10", lambda s, z, iz, w, iw: iz.phi < iw.phi and iz.table[0] == "1"),
+    _planted("g10", lambda s, z, iz, w, iw: iz.phi < iw.phi and z < w),
+    _planted("g14", lambda s, z, iz, w, iw: iz.level == iw.level and iz.phi < "1"),
+], ids=["phi-index", "phi-len", "table-across-formulas", "string-order",
+        "phi-against-a-string"])
+def test_the_gate_refuses_a_guard_that_reads_more_than_formula_order(guards):
+    with pytest.raises(ValueError):
+        S._check_formula_reads(guards)
+    with pytest.raises(ValueError):
+        S._build_dispatch(guards)
+
+
+def test_core_tournament_refuses_a_same_formula_cell_on_two_entries(monkeypatch):
+    # reading a table inside one formula passes the gate, but a cell must
+    # turn on one entry for the formulas' tables to fill it
+    guards = _planted("g9", lambda s, z, iz, w, iw: iz.phi == iw.phi
+                      and iz.table[0] == iz.table[1] == "1")
+    monkeypatch.setattr(S, "_DISPATCH", S._build_dispatch(guards))
+    with pytest.raises(RuntimeError, match="is not one table entry"):
+        pi2_specifier()._core_tournament(12)
 
 
 def test_a_core_past_the_node_cap_is_refused_before_classifying():
