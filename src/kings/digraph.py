@@ -161,20 +161,19 @@ class MultipartiteTournament:
         seen = sorted(v for part in self.parts for v in part)
         if seen != list(range(self.graph.num_nodes)):
             raise ValueError("parts must partition the nodes")
-        adj = self.graph.adj
-        part_of = {}
+        part_of = np.empty(self.graph.num_nodes, dtype=np.intp)
         for i, part in enumerate(self.parts):
-            for v in part:
-                part_of[v] = i
-        n = self.graph.num_nodes
-        for u in range(n):
-            for v in range(u + 1, n):
-                fwd, rev = bool(adj[u, v]), bool(adj[v, u])
-                if part_of[u] == part_of[v]:
-                    if fwd or rev:
-                        raise ValueError(f"edge inside a part: {u},{v}")
-                elif fwd == rev:
-                    raise ValueError(f"cross pair {u},{v} must have exactly one edge")
+            part_of[part] = i
+        adj = self.graph.adj
+        same = part_of[:, None] == part_of
+        # the first bad pair u < v in (u, v) order: an edge inside a part,
+        # or a cross pair with both edges or none
+        bad = np.argwhere(np.triu(np.where(same, adj | adj.T, adj == adj.T), 1))
+        if len(bad):
+            u, v = bad[0]
+            if same[u, v]:
+                raise ValueError(f"edge inside a part: {u},{v}")
+            raise ValueError(f"cross pair {u},{v} must have exactly one edge")
         return self
 
 

@@ -115,16 +115,7 @@ def canonical_out(spec: WeaveSpecifier) -> str:
     The lexicographically smallest leftover string at the smallest length
     where some formula decodes (length 1 when the codec admits none).
     """
-    m0 = 1
-    for n in range(1, 16):
-        enc_len = spec.codec.encoding_length_for(n)
-        if enc_len is None:
-            continue
-        if spec.style == "fe" and n <= spec.k - 2:
-            continue
-        head = 2 * enc_len + (1 if spec.version is Pairing.V1 else 2)
-        m0 = head + n + 2
-        break
+    m0 = next((m for m in map(spec.string_length_for, range(1, 16)) if m is not None), 1)
     for v in range(1 << min(m0, 16)):
         z = int_to_bits(v, m0)
         if spec.classify(z).cls == OTHER:
@@ -443,6 +434,20 @@ def _suite_claim22(report, seed, sample, n):
                      is_k_king(g, 0, 2) == truth, f"table={bits}")
 
 
+def _side_fact_tables(seed, sample):
+    """The (n, table) pairs of the claim 2.8 and 2.11 suites: every table
+    at n <= 2, then the distinct tables of ``sample`` (default 64) seeded
+    draws at n = 3, in string order."""
+    rng = random.Random(seed)
+    for n in (1, 2, 3):
+        if n <= 2:
+            tables = all_bits(1 << n)
+        else:
+            tables = sorted(set(_sampled_tables(rng, 1 << n, sample or 64)))
+        for bits in tables:
+            yield n, bits
+
+
 def _suite_claim28(report, seed, sample):
     """Side facts of the tautology subtournament, checked against phi.
 
@@ -452,50 +457,38 @@ def _suite_claim28(report, seed, sample):
     while 11 0^n is always a 2-king (it beats every other third-layer node
     and the potential king, and reaches 10 0^n through the potential king).
     """
-    rng = random.Random(seed)
-    for n in (1, 2, 3):
-        if n <= 2:
-            tables = all_bits(1 << n)
-        else:
-            tables = sorted(set(_sampled_tables(rng, 1 << n, sample or 64)))
-        for bits in tables:
-            phi = formula_from_table(n, bits)
-            g = build_subtournament("conp", phi)
-            where = f"n={n} table={bits}"
-            kings = [("potential-king-vs-tautology", 0, is_tautology(phi), where),
-                     ("second-layer-vs-phi-at-zero", g.node_index("10" + "0" * n),
-                      eval_formula(phi, "0" * n), where)]
-            for x in all_bits(n):
-                node = g.node_index("11" + x)
-                if "1" not in x:
-                    kings.append(("third-layer-zero-always-king", node, True, where))
-                    continue
-                claimed = (not eval_formula(phi, x)) and all(
-                    eval_formula(phi, x2) for x2 in all_bits(n) if x2 < x)
-                kings.append(("third-layer-vs-first-falsifier", node, claimed,
-                              f"{where} x={x}"))
-            _check_kings(report, g, kings)
+    for n, bits in _side_fact_tables(seed, sample):
+        phi = formula_from_table(n, bits)
+        g = build_subtournament("conp", phi)
+        where = f"n={n} table={bits}"
+        kings = [("potential-king-vs-tautology", 0, is_tautology(phi), where),
+                 ("second-layer-vs-phi-at-zero", g.node_index("10" + "0" * n),
+                  eval_formula(phi, "0" * n), where)]
+        for x in all_bits(n):
+            node = g.node_index("11" + x)
+            if "1" not in x:
+                kings.append(("third-layer-zero-always-king", node, True, where))
+                continue
+            claimed = (not eval_formula(phi, x)) and all(
+                eval_formula(phi, x2) for x2 in all_bits(n) if x2 < x)
+            kings.append(("third-layer-vs-first-falsifier", node, claimed,
+                          f"{where} x={x}"))
+        _check_kings(report, g, kings)
 
 
 def _suite_claim211(report, seed, sample):
-    rng = random.Random(seed)
-    for n in (1, 2, 3):
-        if n <= 2:
-            tables = all_bits(1 << n)
-        else:
-            tables = sorted(set(_sampled_tables(rng, 1 << n, sample or 64)))
-        for bits in tables:
-            phi = formula_from_table(n, bits)
-            g = build_subtournament("np", phi)
-            where = f"n={n} table={bits}"
-            kings = [("potential-king-vs-satisfiable", 0, is_satisfiable(phi), where)]
-            for suffix in ("00" + "1" * n, "11" + "0" * n, "1" * (n + 2)):
-                kings.append(("side-nodes-always-kings", g.node_index(suffix), True,
-                              f"{where} suffix={suffix}"))
-            for x in all_bits(n):
-                kings.append(("assignment-nodes-never-kings", g.node_index("10" + x), False,
-                              f"{where} x={x}"))
-            _check_kings(report, g, kings)
+    for n, bits in _side_fact_tables(seed, sample):
+        phi = formula_from_table(n, bits)
+        g = build_subtournament("np", phi)
+        where = f"n={n} table={bits}"
+        kings = [("potential-king-vs-satisfiable", 0, is_satisfiable(phi), where)]
+        for suffix in ("00" + "1" * n, "11" + "0" * n, "1" * (n + 2)):
+            kings.append(("side-nodes-always-kings", g.node_index(suffix), True,
+                          f"{where} suffix={suffix}"))
+        for x in all_bits(n):
+            kings.append(("assignment-nodes-never-kings", g.node_index("10" + x), False,
+                          f"{where} x={x}"))
+        _check_kings(report, g, kings)
 
 
 def _check_kings(report, g, kings):

@@ -49,18 +49,19 @@ the core, while a leftover never beats the all-zeros string, which is core
 at every length.  So a weave's ``spec king`` on a core string is bounded by
 its core, not by the 2**m strings.
 
-Block rule.  A second import-time check, ``_check_formula_reads``, runs
-every condition of a cell with no leftover side on probe ``_Info`` objects
-whose formula answers only ``==``, ``!=`` and order comparisons against
-another formula, and whose truth table records reads; a condition that
-asks the formula anything else, reads a string, or reads a table when the
-two formulas differ is refused.  So a core pair's winner depends only on
-each side's key (class, n, suffix, level, pk), on whether the formulas are
-lower, higher or the same (or one side has none), and inside one formula
-on that formula's table.  ``_core_tournament`` makes one ``_winner`` call
-per (key, key, order) cell on a representative pair, asks each
-same-formula cell under probe tables for the one table entry it turns on,
-and fills the core from the cells and the stacked tables.
+Block rule.  ``_suffix_classes`` is the one table of which suffix makes a
+string of an n-variable formula a marker, member or antenna; classifying,
+listing the core and the guard gate all read it.  A second import-time
+check, ``_check_formula_reads``, runs every condition of a cell with no
+leftover side on probe ``_Info`` objects whose formula answers only ``==``,
+``!=`` and order comparisons against another formula, and whose truth
+table records reads; a condition that asks the formula anything else,
+reads a string, or reads a table when the two formulas differ is refused.
+So a core pair's winner depends only on each side's key (its class, or its
+suffix), on the order of the formulas, and inside one formula on its
+table.  ``_formula_split`` asks every pair of one formula's strings under
+probe tables: under ``_edge_rule_lt`` it builds the one-formula
+tournament, and under the guards the same-formula pairs of the core.
 """
 
 from __future__ import annotations
@@ -69,7 +70,7 @@ import random
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, islice, product
 from dataclasses import dataclass, field
-from types import SimpleNamespace
+from types import MappingProxyType, SimpleNamespace
 from typing import List, Optional
 
 import numpy as np
@@ -191,8 +192,18 @@ _MEMBER_SUFFIX_BUILDERS = {
 
 
 @lru_cache(maxsize=None)
-def _member_suffixes(style: str, n: int) -> frozenset:
-    return frozenset(_MEMBER_SUFFIX_BUILDERS[style](n))
+def _suffix_classes(style: str, k: int, n: int) -> MappingProxyType:
+    """Suffix -> (class, level, pk) of every marker, member and antenna
+    string an n-variable formula pairs with in the style's weave: the
+    marker ``01 0^n``, the member suffixes, and for the forall-exists weave
+    the antennas ``0^(n+2-level) 1^level`` at levels 1 to k - 2.  Read-only,
+    since every caller shares it."""
+    classes = {"01" + "0" * n: (MARKER, 0, False)}
+    classes.update((w, (MEMBER, 0, "1" not in w)) for w in _MEMBER_SUFFIX_BUILDERS[style](n))
+    if style == "fe":
+        classes.update(("0" * (n + 2 - level) + "1" * level, (ANTENNA, level, False))
+                       for level in range(1, k - 1))
+    return MappingProxyType(classes)
 
 
 _KIND_TO_STYLE = {"pi2": "fe", "conp": "taut", "np": "sat", "kkings": "fe"}
@@ -238,39 +249,44 @@ def _table_read(decide):
     return answer, (None if if_zeros == answer else read.pop())
 
 
+def _formula_split(suffixes, beats):
+    """How one formula's tournament on ``suffixes`` reads its truth table.
+
+    Asks ``beats(w, w2, table)``, does w beat w2, through ``_table_read``
+    for every pair with w before w2.  Returns ``(fixed, winners, losers,
+    at)``: a bool matrix of the edges no table entry decides, and ``intp``
+    arrays such that the edge ``winners[i] -> losers[i]`` exists iff
+    ``table[at[i]] == "1"`` and is reversed otherwise.  A pair that reads
+    two entries is refused.
+    """
+    count = len(suffixes)
+    fixed = np.zeros((count, count), dtype=bool)
+    read = []  # (winner, loser, entry) of each pair that reads an entry
+    for i, j in combinations(range(count), 2):
+        w, w2 = suffixes[i], suffixes[j]
+        rule = _table_read(lambda table: beats(w, w2, table))
+        if rule is None:
+            raise RuntimeError(f"{w} against {w2} is not one table entry")
+        won, entry = rule
+        if entry is None:
+            fixed[i, j], fixed[j, i] = won, not won
+        else:
+            read.append((i, j, entry) if won else (j, i, entry))
+    winners, losers, at = np.array(read, dtype=np.intp).reshape(-1, 3).T.copy()
+    return fixed, winners, losers, at
+
+
 @lru_cache(maxsize=16)
 def _subtournament_template(style: str, n: int):
-    """The (style, n) tournament with its table-dependent edges left open.
-
-    Returns ``(suffixes, fixed, rows, cols, at)``: the sorted suffixes, a
-    read-only bool matrix of the edges no table entry decides, and ``intp``
-    arrays such that the edge ``rows[i] -> cols[i]`` exists iff
-    ``table[at[i]] == "1"`` and is reversed otherwise.  Each pair asks
-    ``_edge_rule_lt`` through ``_table_read``; a pair that reads two
-    entries, or that a "1" turns from an edge into a non-edge, is refused.
-    """
+    """The (style, n) tournament with its table-dependent edges left open:
+    the sorted member suffixes and their read-only ``_formula_split`` under
+    ``_edge_rule_lt``."""
     suffixes = tuple(sorted(_MEMBER_SUFFIX_BUILDERS[style](n)))
-    count = len(suffixes)
-    check_node_cap(count)
-    fixed = np.zeros((count, count), dtype=bool)
-    rows, cols, at = [], [], []
-    for i, w in enumerate(suffixes):
-        for j in range(i + 1, count):
-            rule = _table_read(lambda table: _edge_rule_lt(style, table, n, w, suffixes[j]))
-            if rule is None or rule[1] is not None and not rule[0]:
-                raise RuntimeError(f"{style} edge {w} -> {suffixes[j]} at n={n} "
-                                   "is not one table entry")
-            edge, entry = rule
-            if entry is None:
-                fixed[i, j], fixed[j, i] = edge, not edge
-            else:
-                rows.append(i)
-                cols.append(j)
-                at.append(entry)
-    rows, cols, at = (np.array(a, dtype=np.intp) for a in (rows, cols, at))
-    for array in (fixed, rows, cols, at):
+    check_node_cap(len(suffixes))
+    split = _formula_split(suffixes, lambda w, w2, table: _edge_rule_lt(style, table, n, w, w2))
+    for array in split:
         array.flags.writeable = False
-    return suffixes, fixed, rows, cols, at
+    return (suffixes,) + split
 
 
 def build_subtournament(kind: str, phi) -> ExplicitDigraph:
@@ -295,11 +311,11 @@ def build_subtournament(kind: str, phi) -> ExplicitDigraph:
             raise TypeError(f"{kind} subtournaments take propositional formulas")
         n = phi.num_vars
         table = phi.bits
-    suffixes, fixed, rows, cols, at = _subtournament_template(style, n)
+    suffixes, fixed, winners, losers, at = _subtournament_template(style, n)
     won = np.frombuffer(table.encode("ascii"), dtype=np.uint8)[at] == ord("1")
     adj = fixed.copy()
-    adj[rows, cols] = won
-    adj[cols, rows] = ~won
+    adj[winners, losers] = won
+    adj[losers, winners] = ~won
     return ExplicitDigraph.from_adjacency(adj, labels=suffixes)
 
 
@@ -406,17 +422,13 @@ _FORMULA_FREE = (ZERO, SPECIAL_A, SPECIAL_B)
 def _probe_infos(style, cls, rank, table):
     """Stand-in ``_Info`` objects of class cls, one per key a one-variable
     formula gives the class in the style's weave (antennas at levels 1 and
-    2), with formula ``_FormulaProbe(rank)`` and the given truth table."""
+    2, as at k = 4), with formula ``_FormulaProbe(rank)`` and the given
+    truth table."""
     if cls in _FORMULA_FREE:
         return [_Info(cls)]
     phi = _FormulaProbe(rank)
-    if cls == MARKER:
-        return [_Info(MARKER, phi, 1, "010", table=table)]
-    if cls == MEMBER:
-        return [_Info(MEMBER, phi, 1, w, pk="1" not in w, table=table)
-                for w in _MEMBER_SUFFIX_BUILDERS[style](1)]
-    return [_Info(ANTENNA, phi, 1, "0" * (3 - level) + "1" * level, level=level, table=table)
-            for level in (1, 2)]
+    return [_Info(c, phi, 1, w, level, pk, table)
+            for w, (c, level, pk) in _suffix_classes(style, 4, 1).items() if c == cls]
 
 
 def _check_formula_reads(guards):
@@ -572,11 +584,19 @@ class WeaveSpecifier(TournamentFamilySpecifier):
         needs more than k - 2 universal variables to hang its antennas."""
         return self.style != "fe" or n > self.k - 2
 
+    def string_length_for(self, n):
+        """The length of the strings an n-variable formula's encodings pair
+        with their suffixes: 2|enc| + 1 + n + 2 (V1) or 2|enc| + 2 + n + 2
+        (V2).  None when no n-variable formula indexes members."""
+        length = self.codec.encoding_length_for(n)
+        if length is None or not self._indexes_members(n):
+            return None
+        return 2 * length + (1 if self.version is Pairing.V1 else 2) + n + 2
+
     def _classify(self, z):
-        m = len(z)
         if "1" not in z:
             return _ZERO_INFO
-        if self.style == "sat" and m >= 2:
+        if self.style == "sat" and len(z) >= 2:
             if z[-1] == "1" and "1" not in z[:-1]:
                 return _SA_INFO
             if z[0] == "1" and "1" not in z[1:]:
@@ -589,17 +609,11 @@ class WeaveSpecifier(TournamentFamilySpecifier):
         if params is None:
             return _OTHER_INFO
         n, table = params
-        if len(w) != n + 2:
+        key = _suffix_classes(self.style, self.k, n).get(w)
+        if key is None:
             return _OTHER_INFO
-        if w == "01" + "0" * n:
-            return _Info(MARKER, phi=enc, n=n, suffix=w, table=table)
-        if w in _member_suffixes(self.style, n):
-            return _Info(MEMBER, phi=enc, n=n, suffix=w, pk="1" not in w, table=table)
-        if self.style == "fe":
-            level = len(w.lstrip("0"))  # antenna suffixes are 0^(n+2-level) 1^level
-            if "0" not in w[n + 2 - level:] and 1 <= level <= self.k - 2:
-                return _Info(ANTENNA, phi=enc, n=n, suffix=w, level=level, table=table)
-        return _OTHER_INFO
+        cls, level, pk = key
+        return _Info(cls, enc, n, w, level, pk, table)
 
     # -- selection ---------------------------------------------------------
 
@@ -627,50 +641,42 @@ class WeaveSpecifier(TournamentFamilySpecifier):
 
         The core is the all-zeros string, the two specials of the sat weave,
         and ``pair(enc, w)`` for every encoding enc of an n-variable formula
-        and every marker, member or antenna suffix w of width n + 2, where
-        2|enc| + 1 + n + 2 == m (V1) or 2|enc| + 2 + n + 2 == m (V2).  Each
-        codec accepts every encoding of the length it gives for n, so the
-        count is known before any string is formed; past the node cap it
-        raises CapExceeded.
+        with ``string_length_for(n) == m`` and every key w of
+        ``_suffix_classes``.  String lengths grow with n, so at most one n
+        fits m.  Each codec accepts every encoding of the length it gives
+        for n, so the count is known before any string is formed; past the
+        node cap it raises CapExceeded.
         """
-        sep = 1 if self.version is Pairing.V1 else 2
-        groups = []  # (encoding length, suffixes) of each n that fits m
-        for n in range(1, DEFAULT_VAR_CAP + 1):
-            length = self.codec.encoding_length_for(n)
-            if length is None or 2 * length + sep + n + 2 != m \
-                    or not self._indexes_members(n):
-                continue
-            suffixes = {"01" + "0" * n} | _member_suffixes(self.style, n)
-            if self.style == "fe":
-                suffixes |= {"0" * (n + 2 - level) + "1" * level
-                             for level in range(1, self.k - 1)}
-            groups.append((length, suffixes))
         specials = 2 if self.style == "sat" and m >= 2 else 0
-        check_node_cap(1 + specials + sum(len(w) << length for length, w in groups))
         core = ["0" * m] + ["0" * (m - 1) + "1", "1" + "0" * (m - 1)][:specials]
-        for length, suffixes in groups:
-            for v in range(1 << length):
-                enc = int_to_bits(v, length)
-                if self._decode_member(enc) is not None:
-                    head = pair(self.version, enc, "")
-                    core += [head + w for w in suffixes]
+        n = next((n for n in range(1, DEFAULT_VAR_CAP + 1) if self.string_length_for(n) == m),
+                 None)
+        if n is None:
+            return core
+        length = self.codec.encoding_length_for(n)
+        suffixes = _suffix_classes(self.style, self.k, n)
+        check_node_cap(len(core) + (len(suffixes) << length))
+        for v in range(1 << length):
+            enc = int_to_bits(v, length)
+            if self._decode_member(enc) is not None:
+                head = pair(self.version, enc, "")
+                core += [head + w for w in suffixes]
         return sorted(core)
 
     def _core_tournament(self, m):
         """The guards' tournament on the length-m core, labeled by the core
-        strings in string order; built once per length, by class blocks.
+        strings in string order; built once per length, by keys.
 
         ``_check_formula_reads`` lets a guard see a core string only
-        through its key (class, n, suffix, level, pk), the order of the two
-        formulas and, inside one formula, that formula's truth table.  So a
-        pair's winner is its (key, key, order) cell's, where the order is
-        lower, or one side formula-free, or the same formula.  One
-        ``_winner`` call on a representative pair decides each cell of
-        different formulas.  A same-formula cell is asked once on the first
-        formula that has it, under probe tables (``_table_read``): most
-        read no entry, and the rest are filled from the one entry they
-        read, gathered from the stacked tables of all the formulas.  One
-        pass over the key and rank arrays fills everything else.
+        through its key (its class, or its suffix and the suffix's entry in
+        ``_suffix_classes``), the order of the two formulas and, inside one
+        formula, that formula's truth table.  So one ``_winner`` call per
+        ordered pair of keys, on stand-ins for a lower and a higher formula,
+        decides every pair of different formulas or with a formula-free
+        side, and one ``_formula_split`` on stand-ins of one formula decides
+        the pairs inside every formula: all formulas at a length share one
+        formula size and so one key list.  Its table-dependent edges are
+        filled from the stacked tables of all the formulas in one gather.
         """
         core = self._cores.get(m)
         if core is None:
@@ -679,79 +685,61 @@ class WeaveSpecifier(TournamentFamilySpecifier):
             for z, info in zip(names, infos):
                 if info.cls == OTHER:
                     raise RuntimeError(f"listed core string {z} is a leftover")
-            adj = self._core_adjacency(names, infos)
+            adj = self._core_adjacency(infos)
             core = self._cores[m] = ExplicitDigraph.from_adjacency(adj, labels=names)
         return core
 
-    def _core_adjacency(self, names, infos):
-        """The adjacency of ``_core_tournament``, by class blocks."""
-        keys = {}
-        key = [keys.setdefault((i.cls, i.n, i.suffix, i.level, i.pk), len(keys))
-               for i in infos]
+    def _core_adjacency(self, infos):
+        """The adjacency of ``_core_tournament`` on the classified core."""
+        n = next((i.n for i in infos if i.phi is not None), 0)
+        classes = _suffix_classes(self.style, self.k, n) if n else {}
+        suffixes = list(classes)
+        free = sorted({i.cls for i in infos if i.phi is None})  # ZERO, the specials
+
+        def keys(phi):
+            return ([(f"{w} of formula {phi}", _Info(cls, phi, n, w, level, pk))
+                     for w, (cls, level, pk) in classes.items()]
+                    + [(_CATEGORY_NAMES[c], _Info(c)) for c in free])
+
+        # Stand-in formulas "0" below "1": the gate lets a guard only
+        # compare two formulas, so any two ordered strings act as two real
+        # ones.  lower[a, b]: does key a beat key b of a higher formula?  A
+        # formula-free string ranks below every formula (see rank below),
+        # so a formula key is never the lower side against a free one, and
+        # a free key never meets itself.
+        lows, highs = keys("0"), keys("1")
+        lower = np.array([[(a != b if a >= len(suffixes) else b < len(suffixes))
+                           and self._winner(x, ix, y, iy) is x
+                           for b, (y, iy) in enumerate(highs)]
+                          for a, (x, ix) in enumerate(lows)], dtype=bool)
+        probes = {w: info for w, (_, info) in zip(suffixes, lows)}
+
+        def beats(w, w2, table):
+            probes[w].table = probes[w2].table = table
+            return self._winner(w, probes[w], w2, probes[w2]) is w
+
+        fixed, winners, losers, at = _formula_split(suffixes, beats)
+        same = np.zeros_like(lower)
+        same[:len(suffixes), :len(suffixes)] = fixed
+        index = {w: a for a, w in enumerate(suffixes)}
+        key = np.array([len(suffixes) + free.index(i.cls) if i.phi is None
+                        else index[i.suffix] for i in infos])
         # formulas ranked in their order; each formula-free string on its own
-        order = {phi: r for r, phi in enumerate(sorted({i.phi for i in infos} - {None}))}
-        rank = [-1 - s if i.phi is None else order[i.phi] for s, i in enumerate(infos)]
-        low, high = {}, {}  # key -> its string of lowest and of highest rank
-        formulas = {}  # rank -> the formula's strings, in string order
-        for s in sorted(range(len(names)), key=rank.__getitem__):
-            low.setdefault(key[s], s)
-            high[key[s]] = s
-            if rank[s] >= 0:
-                formulas.setdefault(rank[s], []).append(s)
-        # cells[0][a, b]: does key a beat key b of a higher formula (or with
-        # a formula-free side)?  cells[1][a, b]: ... of the same formula?
-        cells = np.zeros((2, len(keys), len(keys)), dtype=bool)
-        for a, x in low.items():
-            for b, y in high.items():
-                if rank[x] < rank[y]:
-                    cells[0, a, b] = self._winner(names[x], infos[x], names[y],
-                                                  infos[y]) is names[x]
-        blocks = {}  # key sequence -> its formulas' strings
-        for ids in formulas.values():
-            blocks.setdefault(tuple(key[s] for s in ids), []).append(ids)
-        reads = [self._same_formula_cells(names, infos, ids[0], key, cells[1])
-                 for ids in blocks.values()]
-        key, rank = np.array(key), np.array(rank)
-        adj = np.where(rank[:, None] < rank, cells[0][key][:, key], (~cells[0].T)[key][:, key])
-        np.copyto(adj, cells[1][key][:, key], where=rank[:, None] == rank)
-        for ids, (rows, cols, entries, answers) in zip(blocks.values(), reads):
-            if entries:
-                ids = np.array(ids)
-                tables = np.frombuffer("".join(infos[s].table for s in ids[:, 0])
-                                       .encode("ascii"), dtype=np.uint8).reshape(len(ids), -1)
-                won = (tables[:, entries] == ord("1")) == answers
-                adj[ids[:, rows], ids[:, cols]] = won
-                adj[ids[:, cols], ids[:, rows]] = ~won
+        order = {p: r for r, p in enumerate(sorted({i.phi for i in infos} - {None}))}
+        rank = np.array([-1 - s if i.phi is None else order[i.phi]
+                         for s, i in enumerate(infos)])
+        adj = np.where(rank[:, None] < rank, lower[key][:, key], (~lower.T)[key][:, key])
+        np.copyto(adj, same[key][:, key], where=rank[:, None] == rank)
+        if len(at):
+            formula = np.flatnonzero(rank >= 0)
+            ids = np.empty((len(order), len(suffixes)), dtype=np.intp)
+            ids[rank[formula], key[formula]] = formula  # each formula's strings by key
+            tables = np.frombuffer("".join(infos[s].table for s in ids[:, 0]).encode("ascii"),
+                                   dtype=np.uint8).reshape(len(ids), -1)
+            won = tables[:, at] == ord("1")
+            adj[ids[:, winners], ids[:, losers]] = won
+            adj[ids[:, losers], ids[:, winners]] = ~won
         return adj
-
-    def _same_formula_cells(self, names, infos, first, key, same):
-        """Ask every pair of one formula's strings ``first`` under probe
-        tables.  A pair that reads no entry sets its two cells of ``same``;
-        the others are returned as lists (rows, cols, entries, answers):
-        the two positions in ``first``, the entry read, and the winner of
-        the row side when that entry is "1".
-        """
-        probes = [_Info(i.cls, i.phi, i.n, i.suffix, i.level, i.pk)
-                  for i in (infos[s] for s in first)]
-        reads = ([], [], [], [])
-        for a, b in combinations(range(len(first)), 2):
-            x, y, ix, iy = names[first[a]], names[first[b]], probes[a], probes[b]
-
-            def decide(table):
-                ix.table = iy.table = table
-                return self._winner(x, ix, y, iy) is x
-
-            rule = _table_read(decide)
-            if rule is None:
-                raise RuntimeError(f"{x} against {y} is not one table entry")
-            answer, entry = rule
-            if entry is None:
-                same[key[first[a]], key[first[b]]] = answer
-                same[key[first[b]], key[first[a]]] = not answer
-            else:
-                for out, value in zip(reads, (a, b, entry, answer)):
-                    out.append(value)
-        return reads
 
     def _guards_firing(self, x, ix, y, iy):
         """Every guard row that fires on the pair, in table order."""

@@ -9,6 +9,7 @@ from kings import digraph
 from kings.digraph import (
     ExplicitDigraph,
     GraphParseError,
+    MultipartiteTournament,
     all_k_kings,
     check_tournament,
     enumerate_tournaments,
@@ -494,6 +495,64 @@ def test_recognizers_accept_generated_multipartite():
         j = len(mpt.parts)
         assert recognize_jpartite_direct(mpt.graph, j)
         assert recognize_jpartite_patterns(mpt.graph, j)
+
+
+def _pair_loop_validate_error(mpt):
+    """The pair walk that ``MultipartiteTournament.validate`` replaced: the
+    message of the first bad pair u < v in (u, v) order, or None."""
+    seen = sorted(v for part in mpt.parts for v in part)
+    if seen != list(range(mpt.graph.num_nodes)):
+        return "parts must partition the nodes"
+    part_of = {v: i for i, part in enumerate(mpt.parts) for v in part}
+    adj = mpt.graph.adj
+    for u in range(mpt.graph.num_nodes):
+        for v in range(u + 1, mpt.graph.num_nodes):
+            fwd, rev = bool(adj[u, v]), bool(adj[v, u])
+            if part_of[u] == part_of[v]:
+                if fwd or rev:
+                    return f"edge inside a part: {u},{v}"
+            elif fwd == rev:
+                return f"cross pair {u},{v} must have exactly one edge"
+    return None
+
+
+def _validate_error(mpt):
+    try:
+        mpt.validate()
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def test_multipartite_validate_names_each_fault():
+    # parts {0, 1} and {2, 3}; 0 -> 2, 0 -> 3, 1 -> 2, 1 -> 3 is valid
+    edges = [(0, 2), (0, 3), (1, 2), (1, 3)]
+    parts = [[0, 1], [2, 3]]
+    assert _validate_error(MultipartiteTournament(ExplicitDigraph.from_edges(4, edges), parts)) is None
+    for bad_parts in ([[0, 1], [2]], [[0, 1], [1, 2, 3]], [[0, 1], [2, 3, 4]]):
+        mpt = MultipartiteTournament(ExplicitDigraph.from_edges(4, edges), bad_parts)
+        assert _validate_error(mpt) == "parts must partition the nodes"
+    mpt = MultipartiteTournament(ExplicitDigraph.from_edges(4, edges + [(3, 2)]), parts)
+    assert _validate_error(mpt) == "edge inside a part: 2,3"
+    mpt = MultipartiteTournament(ExplicitDigraph.from_edges(4, edges[1:]), parts)
+    assert _validate_error(mpt) == "cross pair 0,2 must have exactly one edge"
+    mpt = MultipartiteTournament(ExplicitDigraph.from_edges(4, edges + [(3, 1)]), parts)
+    assert _validate_error(mpt) == "cross pair 1,3 must have exactly one edge"
+    # the first bad pair in (u, v) order is named, whatever its kind
+    mpt = MultipartiteTournament(ExplicitDigraph.from_edges(4, edges[1:] + [(3, 2)]), parts)
+    assert _validate_error(mpt) == "cross pair 0,2 must have exactly one edge"
+
+
+def test_multipartite_validate_matches_the_pair_loop():
+    rng = random.Random(21)
+    for _ in range(300):
+        mpt = random_multipartite_tournament(rng, rng.randint(2, 4), rng.randint(1, 3))
+        adj = mpt.graph.adj.copy()
+        for _ in range(rng.randint(0, 2)):
+            u, v = rng.sample(range(len(adj)), 2)
+            adj[u, v] = not adj[u, v]
+        mpt = MultipartiteTournament(ExplicitDigraph.from_adjacency(adj), mpt.parts)
+        assert _validate_error(mpt) == _pair_loop_validate_error(mpt)
 
 
 def test_multipartite_source_dichotomy_sample():

@@ -1,4 +1,6 @@
+import hashlib
 import random
+import re
 
 import numpy as np
 import pytest
@@ -406,3 +408,14 @@ def test_seeded_suites_are_deterministic():
     assert (a.total, a.disagreements, a.witnesses) == (b.total, b.disagreements, b.witnesses)
     c = verify_suite("lemma4.2", seed=1, sample=25)
     assert c.total >= 25 and c.passed
+
+
+# sha256 of the records with the elapsed time taken out, as in
+# test_acceptance.py, for the two suites no acceptance criterion runs
+@pytest.mark.parametrize("suite,digest", [
+    ("claim2.2:n=3s", "254c43a726026c752e0535523eb746a3ad97f54f13426829f5653ac27236543a"),
+    ("onekings-gw", "196def20ee74f4a7be94b4ce8d73cd5586c5a14d1730719cd5f7c4b47732987c"),
+])
+def test_suite_records_are_pinned(suite, digest):
+    records = (re.sub(r" elapsed=\S+", "", rec) for rec in verify_suite(suite).to_records())
+    assert hashlib.sha256("\n".join(records).encode()).hexdigest() == digest

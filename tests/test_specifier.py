@@ -753,8 +753,7 @@ def test_subtournament_template_matches_the_pair_loop_on_seeded_tables(kind, n, 
 
 @pytest.mark.parametrize("rule", [
     lambda style, table, n, w, w2: table[0] == "1" and table[1] == "1",
-    lambda style, table, n, w, w2: table[0] == "0",
-], ids=["two-entries", "one-turns-an-edge-off"])
+], ids=["two-entries"])
 def test_template_refuses_a_rule_that_is_not_one_entry(monkeypatch, rule):
     S._subtournament_template.cache_clear()
     monkeypatch.setattr(S, "_edge_rule_lt", rule)
@@ -765,14 +764,26 @@ def test_template_refuses_a_rule_that_is_not_one_entry(monkeypatch, rule):
         S._subtournament_template.cache_clear()
 
 
+def test_template_follows_a_rule_that_a_one_turns_off(monkeypatch):
+    # a "1" at entry 0 turns every w -> w2 edge off: the split reverses it
+    S._subtournament_template.cache_clear()
+    monkeypatch.setattr(S, "_edge_rule_lt", lambda style, table, n, w, w2: table[0] == "0")
+    try:
+        for kind in ("pi2", "conp", "np"):
+            width = 4 if kind == "pi2" else 2
+            _assert_matches_pair_loop(kind, 1, [int_to_bits(t, width) for t in range(1 << width)])
+    finally:
+        S._subtournament_template.cache_clear()
+
+
 def test_subtournaments_own_their_adjacency():
     fe = parse_formula_input("fe:n=2:tt:" + "0110" * 4)
     first, second = build_subtournament("pi2", fe), build_subtournament("pi2", fe)
-    suffixes, fixed, rows, cols, at = S._subtournament_template("fe", 2)
+    suffixes, fixed, winners, losers, at = S._subtournament_template("fe", 2)
     assert not np.shares_memory(first.adj, second.adj)
     assert not np.shares_memory(first.adj, fixed)
     assert first.labels is suffixes
-    for array in (fixed, rows, cols, at):
+    for array in (fixed, winners, losers, at):
         with pytest.raises(ValueError):
             array[0] = array[0]
 
