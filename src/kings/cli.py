@@ -200,18 +200,10 @@ def _cmd_mpt_king(args):
     return _decision(jt_k_king(jc, node, args.k))
 
 
-def _cmd_mpt_lift_j(args):
+def _cmd_mpt_lift(args):
     jc = _load_jt(args)
-    lifted, node = lift_j(jc, _parse_mpt_node(args.node, jc.n) if args.node else (1, "0" * jc.n))
-    print(f"model jt j={lifted.j} n={lifted.n}")
-    print(f"node {node[0]}:{node[1]}")
-    sys.stdout.write(format_circuit(lifted.circuit))
-    return 0
-
-
-def _cmd_mpt_lift_k(args):
-    jc = _load_jt(args)
-    lifted, node = lift_k(jc, _parse_mpt_node(args.node, jc.n))
+    lift = lift_j if args.sub == "lift-j" else lift_k  # lift-k requires --node
+    lifted, node = lift(jc, _parse_mpt_node(args.node, jc.n) if args.node else (1, "0" * jc.n))
     print(f"model jt j={lifted.j} n={lifted.n}")
     print(f"node {node[0]}:{node[1]}")
     sys.stdout.write(format_circuit(lifted.circuit))
@@ -299,8 +291,8 @@ def build_parser():
     mpt = sub.add_parser("mpt", help="multipartite tournament circuits")
     mpt_sub = mpt.add_subparsers(dest="sub", required=True)
     for name, fn, needs_k in (("king", _cmd_mpt_king, True),
-                              ("lift-j", _cmd_mpt_lift_j, False),
-                              ("lift-k", _cmd_mpt_lift_k, False)):
+                              ("lift-j", _cmd_mpt_lift, False),
+                              ("lift-k", _cmd_mpt_lift, False)):
         p = mpt_sub.add_parser(name)
         p.add_argument("--circuit", required=True)
         p.add_argument("--j", type=int, required=True)

@@ -132,25 +132,7 @@ def reduce_to_kings(kind: str, source, codec=None) -> ReductionInstance:
     tracks the formula property (truth / tautology / satisfiability)."""
     if kind not in _KING_SPECS:
         raise ValueError(f"unknown reduction kind {kind!r}")
-    spec = _KING_SPECS[kind](codec)
-    phi = _coerce_formula(source)
-    want_fe = kind == "pi2"
-    enc = None
-    if (isinstance(phi, ForallExistsFormula) if want_fe
-            else isinstance(phi, PropFormula)):
-        try:
-            enc = spec.codec.encode(phi)
-        except CodecError:
-            enc = None
-    if enc is None:
-        node = canonical_out(spec)
-        expected = False
-    else:
-        n = phi.n if want_fe else phi.num_vars
-        node = pair(spec.version, enc, "0" * (n + 2))
-        expected = _KING_ORACLES[kind](phi)
-    return ReductionInstance(target=f"kings:{spec.name}", node=node,
-                             length=len(node), expected=expected)
+    return _reduce_to_weave(_KING_SPECS[kind](codec), source, _KING_ORACLES[kind])
 
 
 def reduce_to_kkings(source, k: int, codec=None) -> ReductionInstance:
@@ -160,20 +142,25 @@ def reduce_to_kkings(source, k: int, codec=None) -> ReductionInstance:
     variables that the codec can encode; everything else goes to the fixed
     non-king element.  For k = 2 the output node equals the pi2 reduction's.
     """
-    spec = kkings_specifier(k, codec)
+    return _reduce_to_weave(kkings_specifier(k, codec), source, eval_forall_exists)
+
+
+def _reduce_to_weave(spec, source, oracle):
+    """The head of the antenna chain of the source's potential king under
+    the weave spec (the potential king itself when k = 2) and the oracle's
+    verdict, or the fixed non-king element when the codec cannot encode the
+    source or its formula indexes no members."""
     phi = _coerce_formula(source)
-    enc = None
-    if isinstance(phi, ForallExistsFormula) and phi.n > k - 2:
-        try:
-            enc = spec.codec.encode(phi)
-        except CodecError:
-            enc = None
-    if enc is None:
-        node = canonical_out(spec)
-        expected = False
+    try:
+        enc = spec.codec.encode(phi)  # a formula of the wrong shape is a CodecError
+    except CodecError:
+        enc = None
+    params = None if enc is None else spec._decode_member(enc)
+    if params is None:
+        node, expected = canonical_out(spec), False
     else:
-        node = pair(Pairing.V1, enc, "0" * (phi.n + 4 - k) + "1" * (k - 2))
-        expected = eval_forall_exists(phi)
+        n, k = params[0], spec.k
+        node, expected = pair(spec.version, enc, "0" * (n + 4 - k) + "1" * (k - 2)), oracle(phi)
     return ReductionInstance(target=f"kings:{spec.name}", node=node,
                              length=len(node), expected=expected)
 
@@ -512,9 +499,9 @@ def _weave_common(report, spec, m, seed, other_sample):
     report.check("specifier-valid", v.passed, v.summary())
     g = induced_graph(spec, m)
     names = g.labels
-    infos = [spec.classify(z) for z in names]
+    listed = {bits_to_int(z): info for z, info in zip(*spec._core(m))}  # id -> class
     members = {}
-    for idx, info in enumerate(infos):
+    for idx, info in listed.items():
         if info.cls == MEMBER:
             members.setdefault(info.phi, []).append(idx)
     # no 2-path leaves one subtournament and returns to it
@@ -532,12 +519,11 @@ def _weave_common(report, spec, m, seed, other_sample):
     for enc, ids in sorted(members.items()):
         phi = spec.codec.decode(enc)
         sub = build_subtournament(kind, phi)
-        ids_sorted = sorted(ids, key=lambda i: infos[i].suffix)
-        block = adj[np.ix_(ids_sorted, ids_sorted)]
+        block = adj[np.ix_(ids, ids)]  # one head, so string order is suffix order
         report.check("subtournament-embedding",
                      bool(np.array_equal(block, sub.adj)), f"phi={enc}")
     # leftover strings are never kings
-    others = [i for i, info in enumerate(infos) if info.cls == OTHER]
+    others = [i for i in range(len(names)) if i not in listed]
     rng = random.Random(seed)
     if other_sample is not None and len(others) > other_sample:
         others = rng.sample(others, other_sample)
@@ -632,13 +618,12 @@ def _suite_weave_kkings(report, seed, sample, k=3, m=13):
 
 def _audit_kkings_reach(spec, g, node, enc, k):
     """Core nodes reached within k-2 steps must fall in the three allowed
-    kinds.  Leftovers are allowed and never classified: g is the induced
-    graph, whose node ids are the strings' values, and its core is listed."""
+    kinds.  Leftovers are allowed: g is the induced graph, whose node ids
+    are the strings' values, and its core is listed with its classes."""
     reached = reach_within(g, node, k - 2)
-    for z in spec._core(len(g.label_of(node))):
+    for z, info in zip(*spec._core(len(g.label_of(node)))):
         if not reached[bits_to_int(z)]:
             continue
-        info = spec.classify(z)
         if info.cls == MEMBER and info.pk and info.phi == enc:
             continue
         if info.cls == ANTENNA:

@@ -32,11 +32,13 @@ Core/leftover split.  Almost every string is a leftover (class OTHER; 177
 of 8192 at kkings:3 m=13 are not); the others form the length's core.  The
 core is listed by construction, not found by classifying every string: it
 is the all-zeros string, the specials, and ``pair(enc, w)`` for the one
-encoding length that fits m, so its cost is its size, and a core past the
-node cap is refused before any of it is formed.  The class dispatch built
-from ``GUARDS`` is checked once, at import: every cell with one OTHER side
-must hold exactly one unconditional row, won by the other class, and the
-OTHER x OTHER cell must hold only the declared strict order
+encoding length that fits m, each listed with the class its suffix w gives.
+So its cost is its size, no listed string is classified again (``classify``
+serves other strings, and is the listing's oracle in the tests), and a core
+past the node cap is refused before any of it is formed.  The class
+dispatch built from ``GUARDS`` is checked once, at import: every cell with
+one OTHER side must hold exactly one unconditional row, won by the other
+class, and the OTHER x OTHER cell must hold only the declared strict order
 ``_smaller_wins``, which decides each leftover pair exactly once by
 trichotomy.  So every core string beats every leftover, and leftovers beat
 the leftovers above them.  ``induced_graph`` starts from the strict upper
@@ -637,35 +639,37 @@ class WeaveSpecifier(TournamentFamilySpecifier):
         raise RuntimeError(f"no guard decides {x} against {y}")
 
     def _core(self, m):
-        """The length-m core strings in string order, listed by construction.
+        """The length-m core strings in string order, listed by construction,
+        and the ``_Info`` that ``classify`` gives each: ``(names, infos)``.
 
         The core is the all-zeros string, the two specials of the sat weave,
         and ``pair(enc, w)`` for every encoding enc of an n-variable formula
         with ``string_length_for(n) == m`` and every key w of
-        ``_suffix_classes``.  String lengths grow with n, so at most one n
-        fits m.  Each codec accepts every encoding of the length it gives
-        for n, so the count is known before any string is formed; past the
-        node cap it raises CapExceeded.
+        ``_suffix_classes``, whose entry is its class.  Lengths grow with n,
+        so at most one n fits m.  Each codec accepts every encoding of the
+        length it gives for n, so the count is known before any string is
+        formed; past the node cap it raises CapExceeded.
         """
-        specials = 2 if self.style == "sat" and m >= 2 else 0
-        core = ["0" * m] + ["0" * (m - 1) + "1", "1" + "0" * (m - 1)][:specials]
+        core = [("0" * m, _ZERO_INFO), ("0" * (m - 1) + "1", _SA_INFO),
+                ("1" + "0" * (m - 1), _SB_INFO)][:3 if self.style == "sat" and m >= 2 else 1]
         n = next((n for n in range(1, DEFAULT_VAR_CAP + 1) if self.string_length_for(n) == m),
                  None)
-        if n is None:
-            return core
-        length = self.codec.encoding_length_for(n)
-        suffixes = _suffix_classes(self.style, self.k, n)
-        check_node_cap(len(core) + (len(suffixes) << length))
-        for v in range(1 << length):
-            enc = int_to_bits(v, length)
-            if self._decode_member(enc) is not None:
-                head = pair(self.version, enc, "")
-                core += [head + w for w in suffixes]
-        return sorted(core)
+        if n is not None:
+            length = self.codec.encoding_length_for(n)
+            suffixes = _suffix_classes(self.style, self.k, n)
+            check_node_cap(len(core) + (len(suffixes) << length))
+            for v in range(1 << length):
+                enc = int_to_bits(v, length)
+                params = self._decode_member(enc)
+                if params is not None:
+                    head = pair(self.version, enc, "")
+                    core += [(head + w, _Info(cls, enc, n, w, level, pk, params[1]))
+                             for w, (cls, level, pk) in suffixes.items()]
+        return [list(column) for column in zip(*sorted(core))]  # distinct names: no _Info compared
 
     def _core_tournament(self, m):
         """The guards' tournament on the length-m core, labeled by the core
-        strings in string order; built once per length, by keys.
+        strings in string order; built once per length from the listed keys.
 
         ``_check_formula_reads`` lets a guard see a core string only
         through its key (its class, or its suffix and the suffix's entry in
@@ -680,17 +684,13 @@ class WeaveSpecifier(TournamentFamilySpecifier):
         """
         core = self._cores.get(m)
         if core is None:
-            names = self._core(m)
-            infos = [self.classify(z) for z in names]
-            for z, info in zip(names, infos):
-                if info.cls == OTHER:
-                    raise RuntimeError(f"listed core string {z} is a leftover")
+            names, infos = self._core(m)
             adj = self._core_adjacency(infos)
             core = self._cores[m] = ExplicitDigraph.from_adjacency(adj, labels=names)
         return core
 
     def _core_adjacency(self, infos):
-        """The adjacency of ``_core_tournament`` on the classified core."""
+        """The adjacency of ``_core_tournament`` on the listed core."""
         n = next((i.n for i in infos if i.phi is not None), 0)
         classes = _suffix_classes(self.style, self.k, n) if n else {}
         suffixes = list(classes)
@@ -955,7 +955,7 @@ def validate_specifier(spec, m: int, sample: Optional[int] = None,
         classify = spec.classify
         if sample is None:
             report.pairs_checked = count * (count + 1) // 2
-            pair_iter = combinations(spec._core(m), 2)
+            pair_iter = combinations(spec._core(m)[0], 2)
         else:
             # The sampled audit runs at every length up to the length cap,
             # also where the core is past the node cap (655,361 strings at
@@ -1130,16 +1130,16 @@ def check_associativity(spec, m: int, sample: Optional[int] = None,
 def _representatives(spec, m):
     """Two strings of each node class, the first two in string order, with
     the classes in order of first appearance.  For a weave the core, listed
-    by construction, and the two smallest leftovers stand in for all 2**m
-    strings, since every other string is a leftover."""
+    by construction with its classes, and the two smallest leftovers stand
+    in for all 2**m strings, since every other string is a leftover."""
     if not isinstance(spec, WeaveSpecifier):
         return ["0" * m, "1" * m, int_to_bits((1 << m) // 3, m)]
-    core = spec._core(m)
-    taken = {bits_to_int(z) for z in core}
+    core = list(zip(*spec._core(m)))
+    taken = {bits_to_int(z) for z, _ in core}
     leftovers = islice((v for v in range(1 << m) if v not in taken), 2)
     seen = {}
-    for z in sorted(core + [int_to_bits(v, m) for v in leftovers]):
-        bucket = seen.setdefault(spec.classify(z).cls, [])
+    for z, info in sorted(core + [(int_to_bits(v, m), _OTHER_INFO) for v in leftovers]):
+        bucket = seen.setdefault(info.cls, [])
         if len(bucket) < 2:
             bucket.append(z)
     return [z for bucket in seen.values() for z in bucket]

@@ -18,7 +18,7 @@ from kings.formula import (
 )
 from kings.limits import DEFAULT_NODE_CAP, CapExceeded, check_node_cap
 from kings.pairing import Pairing, pair, unpair
-from kings.reductions import reduce_to_kings, reduce_to_kkings
+from kings.reductions import _audit_kkings_reach, reduce_to_kings, reduce_to_kkings
 from kings.specifier import (
     ANTENNA,
     GUARDS,
@@ -341,8 +341,8 @@ def test_sampled_audit_draws_like_the_full_pair_walk(table, monkeypatch):
     assert (witnesses > 0) == (table != "as-is")
 
 
-def test_sampled_audit_classifies_only_drawn_strings():
-    spec = pi2_specifier()
+def _count_classify(spec):
+    """Wrap the instance's ``_classify``; returns the list of strings asked."""
     real = spec._classify
     calls = []
 
@@ -351,6 +351,12 @@ def test_sampled_audit_classifies_only_drawn_strings():
         return real(z)
 
     spec._classify = counted
+    return calls
+
+
+def test_sampled_audit_classifies_only_drawn_strings():
+    spec = pi2_specifier()
+    calls = _count_classify(spec)
     report = validate_specifier(spec, 40, sample=1000)
     assert report.passed and report.pairs_checked == 1000
     # the pair draws classify a first string, and a second one only after a
@@ -417,16 +423,35 @@ _CORE_WEAVES = ["pi2", "conp", "np", "kkings:2", "kkings:3", "kkings:4", "pi2:tt
                 "kkings:3:ttfe", "conp:ttplain", "np:ttplain"]
 
 
+_INFO_FIELDS = ("cls", "phi", "n", "suffix", "level", "pk", "table")
+
+
+def _assert_listed_as_classified(spec, m):
+    """Every listed ``_Info`` equals ``classify``'s, field by field."""
+    names, infos = spec._core(m)
+    assert len(names) == len(infos), m
+    for z, info in zip(names, infos):
+        want = spec.classify(z)
+        for name in _INFO_FIELDS:
+            assert getattr(info, name) == getattr(want, name), (m, z, name)
+
+
 @pytest.mark.parametrize("name", _CORE_WEAVES)
 def test_core_is_the_classified_core(name):
     spec = make_builtin_specifier(name)
     for m in range(17):
-        assert spec._core(m) == [z for z in all_bits(m) if spec.classify(z).cls != OTHER], m
+        assert spec._core(m)[0] == [z for z in all_bits(m) if spec.classify(z).cls != OTHER], m
+        _assert_listed_as_classified(spec, m)
     # and the classification re-derived from the codec, through m = 13,
     # where the catalog's 2-variable formulas would first index members
     for m in range(14):
-        assert spec._core(m) == [z for z in all_bits(m)
-                                 if _reference_category(spec, z) != "other"], m
+        assert spec._core(m)[0] == [z for z in all_bits(m)
+                                    if _reference_category(spec, z) != "other"], m
+
+
+@pytest.mark.parametrize("name,m", [("conp", 22), ("np", 23)])
+def test_core_past_the_node_cap_is_listed_as_classified(name, m):
+    _assert_listed_as_classified(make_builtin_specifier(name), m)
 
 
 @pytest.mark.parametrize("name", _WEAVES)
@@ -465,7 +490,7 @@ def _classified_core_tournament(spec, m):
 def _pair_loop_core_tournament(spec, m):
     """The guards' tournament on the listed core, one ``_winner`` call per
     pair: the build that class blocks replace."""
-    names = spec._core(m)
+    names = spec._core(m)[0]
     infos = [spec.classify(z) for z in names]
     won = np.fromiter((spec._winner(x, ix, y, iy) is x for (x, ix), (y, iy)
                        in combinations(zip(names, infos), 2)), dtype=bool)
@@ -491,7 +516,7 @@ def test_core_tournament_matches_the_pair_loop(name):
 @pytest.mark.parametrize("name,m", [("conp", 22), ("np", 23)])
 def test_core_tournament_matches_the_pair_loop_past_the_node_cap(name, m):
     spec = make_builtin_specifier(name)
-    assert len(spec._core(m)) > 2000 and 1 << m > DEFAULT_NODE_CAP
+    assert len(spec._core(m)[0]) > 2000 and 1 << m > DEFAULT_NODE_CAP
     _assert_same_tournament(spec._core_tournament(m),
                             _pair_loop_core_tournament(make_builtin_specifier(name), m), m)
 
@@ -512,13 +537,6 @@ def test_core_tournament_refuses_a_gapped_table(monkeypatch):
             _classified_core_tournament(make_builtin_specifier(name), m)
         with pytest.raises(RuntimeError, match="no guard decides"):
             make_builtin_specifier(name)._core_tournament(m)
-
-
-def test_core_tournament_refuses_a_listed_leftover():
-    spec = pi2_specifier()
-    spec._core = lambda m: ["0" * m, "1" * m]
-    with pytest.raises(RuntimeError, match="is a leftover"):
-        spec._core_tournament(12)
 
 
 def _planted(name, cond):
@@ -559,18 +577,36 @@ def test_core_tournament_refuses_a_same_formula_cell_on_two_entries(monkeypatch)
 def test_a_core_past_the_node_cap_is_refused_before_classifying():
     # pi2 m=37 pairs the 65,536 two-variable matrices: 655,361 core strings
     spec = pi2_specifier()
-    real = spec._classify
-    calls = []
-
-    def counted(z):
-        calls.append(z)
-        return real(z)
-
-    spec._classify = counted
+    calls = _count_classify(spec)
     with pytest.raises(CapExceeded, match="655361 nodes"):
         spec._core(37)
     with pytest.raises(CapExceeded, match="655361 nodes"):
         check_associativity(spec, 37, sample=5)
+    assert calls == []
+
+
+@pytest.mark.parametrize("name,m", [("pi2", 12), ("kkings:3", 13), ("conp", 22)])
+def test_core_tournament_classifies_no_listed_string(name, m):
+    spec = make_builtin_specifier(name)
+    calls = _count_classify(spec)
+    assert spec._core_tournament(m).num_nodes == len(spec._core(m)[0])
+    assert calls == []
+
+
+def test_representatives_classify_no_listed_string():
+    spec = pi2_specifier()
+    calls = _count_classify(spec)
+    assert S._representatives(spec, 12) == _scanned_representatives(pi2_specifier(), 12)
+    assert calls == []
+
+
+def test_reach_audit_classifies_no_listed_string():
+    spec = kkings_specifier(3)
+    g = induced_graph(spec, 13)
+    calls = _count_classify(spec)
+    for idx in range(16):
+        inst = reduce_to_kkings(spec.codec.entry(idx), 3)
+        assert _audit_kkings_reach(spec, g, g.node_index(inst.node), int_to_bits(idx, 4), 3)
     assert calls == []
 
 
