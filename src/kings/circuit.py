@@ -22,7 +22,9 @@ with the square of the node count.  ``table_to_circuit`` wraps an explicit
 edge function the same way, as one lookup over the queried pair; it asks
 the function about every node pair, so it is capped by the query cap.
 Materialization is capped by the node cap; evaluation over many queries
-runs gate by gate on numpy boolean columns.
+runs gate by gate on numpy boolean columns.  Both models materialize
+through one row-blocked pair evaluator, ``_pair_matrix``: the gw model pairs
+x·0 with 0·y, the jt model each part's field vectors with later parts'.
 """
 
 from __future__ import annotations
@@ -408,36 +410,31 @@ def _node_bit_matrix(count: int, width: int) -> np.ndarray:
     return ((np.arange(count)[:, None] >> shifts) & 1).astype(bool)
 
 
-def _gw_edge_matrix(sg: SuccinctGraph) -> np.ndarray:
-    n = sg.n
-    check_strings_node_cap(n)
-    count = 1 << n
-    bits = _node_bit_matrix(count, n)
-    out = np.zeros((count, count), dtype=bool)
-    # chunk over source nodes to bound the query matrix
-    rows_per_chunk = max(1, (1 << 18) // count)
-    for start in range(0, count, rows_per_chunk):
-        stop = min(count, start + rows_per_chunk)
-        block = stop - start
-        left = np.repeat(bits[start:stop], count, axis=0)
-        right = np.tile(bits, (block, 1))
-        res = eval_circuit_batch(sg.circuit, np.hstack([left, right]))
-        out[start:stop] = res.reshape(block, count)
-    np.fill_diagonal(out, False)
+# Query bytes _pair_matrix holds at once (at least one row of queries).
+_QUERY_BYTES = 1 << 22
+
+
+def _pair_matrix(c: BooleanCircuit, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """Entry (a, b) is the circuit on the query ``left[a] | right[b]``,
+    asked a block of rows at a time within ``_QUERY_BYTES`` of queries."""
+    out = np.empty((len(left), len(right)), dtype=bool)
+    rows = max(1, _QUERY_BYTES // right.size)
+    for start in range(0, len(left), rows):
+        block = left[start:start + rows, None, :] | right[None, :, :]
+        res = eval_circuit_batch(c, block.reshape(-1, c.num_inputs))
+        out[start:start + len(block)] = res.reshape(len(block), len(right))
     return out
 
 
 def gw_materialize(sg: SuccinctGraph) -> ExplicitDigraph:
     """The explicit digraph on 2**n nodes labeled by their bit-strings."""
-    edges = _gw_edge_matrix(sg)
+    check_strings_node_cap(sg.n)
+    bits = _node_bit_matrix(1 << sg.n, sg.n)
+    zeros = np.zeros_like(bits)
+    edges = _pair_matrix(sg.circuit, np.hstack([bits, zeros]), np.hstack([zeros, bits]))
+    np.fill_diagonal(edges, False)
     labels = [int_to_bits(i, sg.n) for i in range(1 << sg.n)]
     return ExplicitDigraph.from_adjacency(edges, labels)
-
-
-def gw_check_tournament(sg: SuccinctGraph) -> bool:
-    edges = _gw_edge_matrix(sg)
-    want = ~np.eye(edges.shape[0], dtype=bool)
-    return bool(np.array_equal(edges ^ edges.T, want))
 
 
 def gw_k_king(sg: SuccinctGraph, x: str, k: int) -> bool:
@@ -509,28 +506,24 @@ def jt_node_index(jc: JTournamentCircuit, node: Tuple[int, str]) -> int:
 
 
 def jt_materialize(jc: JTournamentCircuit) -> MultipartiteTournament:
-    """Explicit multipartite tournament; parts listed in field order."""
+    """Explicit multipartite tournament; parts listed in field order.  A
+    node's field vector (control bit and payload in its part's field) ORed
+    with one in a later part is their ``jt_query``."""
     check_strings_node_cap(jc.n, jc.j)
     size = jc.part_size()
     total = jc.j * size
+    fields = np.zeros((jc.j, size, jc.j, jc.n + 1), dtype=bool)
+    part = np.arange(jc.j)
+    fields[part, :, part, 0] = True
+    fields[part, :, part, 1:] = _node_bit_matrix(size, jc.n)
+    fields = fields.reshape(total, -1)
     adj = np.zeros((total, total), dtype=bool)
-    bits = _node_bit_matrix(size, jc.n)
-    f = jc.n + 1
-    arity = jc.j * f
-    pairs = size * size
-    for i in range(1, jc.j):
-        for i2 in range(i + 1, jc.j + 1):
-            queries = np.zeros((pairs, arity), dtype=bool)
-            queries[:, (i - 1) * f] = True
-            queries[:, (i2 - 1) * f] = True
-            if jc.n:
-                queries[:, (i - 1) * f + 1:i * f] = np.repeat(bits, size, axis=0)
-                queries[:, (i2 - 1) * f + 1:i2 * f] = np.tile(bits, (size, 1))
-            res = eval_circuit_batch(jc.circuit, queries).reshape(size, size)
-            a = slice((i - 1) * size, i * size)
-            b = slice((i2 - 1) * size, i2 * size)
-            adj[a, b] = res
-            adj[b, a] = ~res.T
+    for start in range(0, total - size, size):
+        rows = slice(start, start + size)
+        later = slice(start + size, total)
+        res = _pair_matrix(jc.circuit, fields[rows], fields[later])
+        adj[rows, later] = res
+        adj[later, rows] = ~res.T
     labels = [f"{i}:{int_to_bits(v, jc.n)}" for i in range(1, jc.j + 1)
               for v in range(size)]
     parts = [list(range((i - 1) * size, i * size)) for i in range(1, jc.j + 1)]

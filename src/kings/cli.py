@@ -17,13 +17,14 @@ from .circuit import (
     JTournamentCircuit,
     SuccinctGraph,
     format_circuit,
-    gw_check_tournament,
     gw_k_king,
+    gw_materialize,
     jt_k_king,
     parse_circuit,
 )
 from .digraph import (
     GraphParseError,
+    check_tournament,
     export_dot,
     find_king_landau,
     format_graph_text,
@@ -62,9 +63,13 @@ def _load_graph(path):
 
 
 def _node_id(graph, text):
-    if text.isdigit():
-        return int(text)
-    return graph.node_index(text)
+    """The node labeled ``text``, else the node whose id it spells."""
+    try:
+        return graph.node_index(text)
+    except ValueError:
+        if text.isdigit():
+            return int(text)
+        raise
 
 
 def _decision(flag: bool) -> int:
@@ -223,7 +228,7 @@ def _cmd_gw_king(args):
 
 
 def _cmd_gw_is_tournament(args):
-    return _decision(gw_check_tournament(_load_gw(args)))
+    return _decision(check_tournament(gw_materialize(_load_gw(args))))
 
 
 # -- parser ------------------------------------------------------------------

@@ -479,11 +479,7 @@ def find_king_landau(t: ExplicitDigraph) -> int:
 def check_tournament(g: ExplicitDigraph) -> bool:
     """Exactly one direction between every pair of distinct nodes."""
     a = g.adj
-    n = g.num_nodes
-    if a.diagonal().any():
-        return False
-    want = ~np.eye(n, dtype=bool)
-    return bool(np.array_equal(a ^ a.T, want))
+    return bool(np.array_equal(a ^ a.T, ~np.eye(g.num_nodes, dtype=bool)))
 
 
 

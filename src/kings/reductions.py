@@ -24,7 +24,6 @@ from .circuit import (
     JTournamentCircuit,
     SuccinctGraph,
     _Builder,
-    gw_check_tournament,
     gw_materialize,
     jt_edge,
     jt_k_king,
@@ -34,6 +33,7 @@ from .circuit import (
 )
 from .digraph import (
     all_k_kings,
+    check_tournament,
     enumerate_tournaments,
     find_king_landau,
     is_k_king,
@@ -68,6 +68,7 @@ from .specifier import (
     MEMBER,
     OTHER,
     WeaveSpecifier,
+    _KIND_TO_STYLE,
     _check_sample,
     build_subtournament,
     check_associativity,
@@ -491,9 +492,9 @@ def _check_kings(report, g, kings):
 def _weave_common(report, spec, m, seed, other_sample):
     """Shared structure checks for a formula weave at one length.
 
-    Returns the graph, the member ids of each formula, and the kingship
-    checks on leftovers and the all-zeros string, left for the suite to
-    decide together with its own.
+    Returns the graph, each member formula's one-formula tournament, and
+    the kingship checks on leftovers and the all-zeros string, left for the
+    suite to decide together with its own.
     """
     v = validate_specifier(spec, m)
     report.check("specifier-valid", v.passed, v.summary())
@@ -515,10 +516,10 @@ def _weave_common(report, spec, m, seed, other_sample):
         report.check("no-bridge", not bridges.any(),
                      f"phi={enc} via={np.flatnonzero(bridges)[:4]}")
     # the induced subgraph on each member set equals the one-formula build
-    kind = {"fe": "pi2", "taut": "conp", "sat": "np"}[spec.style]
+    kind = next(name for name, style in _KIND_TO_STYLE.items() if style == spec.style)
+    subs = {}
     for enc, ids in sorted(members.items()):
-        phi = spec.codec.decode(enc)
-        sub = build_subtournament(kind, phi)
+        sub = subs[enc] = build_subtournament(kind, spec.codec.decode(enc))
         block = adj[np.ix_(ids, ids)]  # one head, so string order is suffix order
         report.check("subtournament-embedding",
                      bool(np.array_equal(block, sub.adj)), f"phi={enc}")
@@ -529,14 +530,14 @@ def _weave_common(report, spec, m, seed, other_sample):
         others = rng.sample(others, other_sample)
     kings = [("leftovers-not-kings", i, False, names[i]) for i in others]
     kings.append(("all-zeros-king", 0, True, names[0]))
-    return g, members, kings
+    return g, subs, kings
 
 
 def _suite_weave_pi2(report, seed, sample, m=12):
     spec = pi2_specifier()
-    g, members, kings = _weave_common(report, spec, m, seed, other_sample=sample)
-    smallest = min(members)
-    for enc in sorted(members):
+    g, subs, kings = _weave_common(report, spec, m, seed, other_sample=sample)
+    smallest = min(subs)
+    for enc in sorted(subs):
         fe = spec.codec.decode(enc)
         kings.append(("potential-king-vs-truth",
                       g.node_index(pair(Pairing.V1, enc, "0" * (fe.n + 2))),
@@ -550,9 +551,9 @@ def _suite_weave_pi2(report, seed, sample, m=12):
 def _suite_weave_conp(report, seed, sample, m):
     spec = conp_specifier()
     other_sample = None if m <= 10 else (sample or 500)
-    g, members, kings = _weave_common(report, spec, m, seed, other_sample)
-    smallest = min(members)
-    for enc in sorted(members):
+    g, subs, kings = _weave_common(report, spec, m, seed, other_sample)
+    smallest = min(subs)
+    for enc, sub in sorted(subs.items()):
         phi = spec.codec.decode(enc)
         n = phi.num_vars
         kings.append(("potential-king-vs-tautology",
@@ -562,7 +563,6 @@ def _suite_weave_conp(report, seed, sample, m):
                       g.node_index(pair(Pairing.V1, enc, "01" + "0" * n)),
                       enc == smallest, f"phi={enc}"))
         # kingship inside the weave matches kingship in the one-formula build
-        sub = build_subtournament("conp", phi)
         for suffix, king in zip(sub.labels, k_king_mask(sub, range(sub.num_nodes), 2)):
             kings.append(("weave-matches-subtournament",
                           g.node_index(pair(Pairing.V1, enc, suffix)), bool(king),
@@ -572,10 +572,10 @@ def _suite_weave_conp(report, seed, sample, m):
 
 def _suite_weave_np(report, seed, sample, m=9):
     spec = np_specifier()
-    g, members, kings = _weave_common(report, spec, m, seed, other_sample=None)
+    g, subs, kings = _weave_common(report, spec, m, seed, other_sample=None)
     kings.append(("special-a-king", g.node_index("0" * (m - 1) + "1"), True, "0^{m-1}1"))
     kings.append(("special-b-king", g.node_index("1" + "0" * (m - 1)), True, "10^{m-1}"))
-    for enc in sorted(members):
+    for enc in sorted(subs):
         phi = spec.codec.decode(enc)
         n = phi.num_vars
         kings.append(("potential-king-vs-satisfiable",
@@ -645,7 +645,7 @@ def _suite_antenna(report, seed, sample, k):
         inst = build_gw_antenna_instance(fe, k)
         g = gw_materialize(inst.circuit)
         report.check("attached-graph-is-tournament",
-                     gw_check_tournament(inst.circuit), f"table={bits}")
+                     check_tournament(g), f"table={bits}")
         report.check("designated-kingship-vs-truth",
                      is_k_king(g, int(inst.node, 2), k) == inst.expected,
                      f"table={bits}")
@@ -659,7 +659,7 @@ def _suite_onekings_gw(report, seed, sample):
         inst = reduce_taut_to_1king_gw(phi)
         g = gw_materialize(inst.circuit)
         report.check("attached-graph-is-tournament",
-                     gw_check_tournament(inst.circuit), f"table={bits}")
+                     check_tournament(g), f"table={bits}")
         report.check("header-1king-vs-tautology",
                      is_k_king(g, int(inst.node, 2), 1) == inst.expected,
                      f"table={bits}")

@@ -1,8 +1,10 @@
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from kings import circuit
 from kings.bitstrings import all_bits, int_to_bits
 from kings.circuit import (
     BooleanCircuit,
@@ -13,7 +15,6 @@ from kings.circuit import (
     eval_circuit,
     eval_circuit_batch,
     format_circuit,
-    gw_check_tournament,
     gw_edge,
     gw_k_king,
     gw_materialize,
@@ -26,7 +27,7 @@ from kings.circuit import (
     parse_circuit,
     table_to_circuit,
 )
-from kings.digraph import all_k_kings, recognize_jpartite_direct
+from kings.digraph import all_k_kings, check_tournament, recognize_jpartite_direct
 from kings.generators import random_circuit, random_jtournament_circuit
 from kings.limits import CapExceeded
 
@@ -166,10 +167,10 @@ def _less_than_graph(n):
 
 
 def test_gw_check_tournament():
-    assert not gw_check_tournament(SuccinctGraph(1, const_circuit(2, 1)))
-    assert not gw_check_tournament(SuccinctGraph(1, const_circuit(2, 0)))
-    for n in (1, 2, 3):
-        assert gw_check_tournament(_less_than_graph(n))
+    for sg, want in ((SuccinctGraph(1, const_circuit(2, 1)), False),
+                     (SuccinctGraph(1, const_circuit(2, 0)), False),
+                     *((_less_than_graph(n), True) for n in (1, 2, 3))):
+        assert check_tournament(gw_materialize(sg)) == want
 
 
 def test_gw_k_king():
@@ -326,7 +327,6 @@ def test_jt_materialize_n0_gives_tournament():
         mpt = jt_materialize(jc)
         mpt.validate()
         assert mpt.graph.num_nodes == 3
-        from kings.digraph import check_tournament
         assert check_tournament(mpt.graph)
 
 
@@ -350,6 +350,93 @@ def test_jt_materialize_always_valid_multipartite():
             a = jt_node_index(jc, (i, s))
             b = jt_node_index(jc, (i2, s2))
             assert mpt.graph.has_edge(a, b) == jt_edge(jc, (i, s), (i2, s2))
+
+
+def _part_pair_jt_adjacency(jc):
+    """The oracle for jt_materialize: the adjacency built one part pair at
+    a time, each pair's whole query matrix in one evaluation."""
+    size = jc.part_size()
+    total = jc.j * size
+    adj = np.zeros((total, total), dtype=bool)
+    bits = np.array([[c == "1" for c in s] for s in all_bits(jc.n)], dtype=bool)
+    f = jc.n + 1
+    for i in range(1, jc.j):
+        for i2 in range(i + 1, jc.j + 1):
+            queries = np.zeros((size * size, jc.j * f), dtype=bool)
+            queries[:, (i - 1) * f] = True
+            queries[:, (i2 - 1) * f] = True
+            queries[:, (i - 1) * f + 1:i * f] = np.repeat(bits, size, axis=0)
+            queries[:, (i2 - 1) * f + 1:i2 * f] = np.tile(bits, (size, 1))
+            res = eval_circuit_batch(jc.circuit, queries).reshape(size, size)
+            a = slice((i - 1) * size, i * size)
+            b = slice((i2 - 1) * size, i2 * size)
+            adj[a, b] = res
+            adj[b, a] = ~res.T
+    return adj
+
+
+def _payload_comparator(j, n):
+    """Fields 1 and j compare their payloads, xored with the first bit of
+    one and the last of the other: the answer reads both nodes."""
+    b = _Builder(j * (n + 1))
+    bits = b.inputs()
+    first, last = bits[1:n + 1], bits[(j - 1) * (n + 1) + 1:]
+    out = b.lt(first, last)
+    if n:
+        out = b.xor(out, b.and_(first[0], last[-1]))
+    return JTournamentCircuit(j, n, b.finish(out))
+
+
+@pytest.mark.parametrize("j, n", [(j, n) for j in (2, 3, 4) for n in (0, 1, 2)] + [(2, 10)])
+def test_jt_materialize_matches_the_part_pair_loop(j, n):
+    # at j=2, n=10 a part is 1,024 rows and a row block is fewer
+    rng = random.Random(100 * j + n)
+    circuits = [_payload_comparator(j, n)]
+    circuits += [random_jtournament_circuit(rng, j, n, num_gates=rng.randint(1, 20))
+                 for _ in range(8 if n < 10 else 2)]
+    for jc in circuits:
+        assert np.array_equal(jt_materialize(jc).graph.adj, _part_pair_jt_adjacency(jc))
+
+
+def test_jt_materialize_holds_few_queries():
+    """j=2, n=11 with a 7-gate circuit: the peak stays within three
+    adjacencies (the matrix, the graph's copy and the row blocks)."""
+    jc = random_jtournament_circuit(random.Random(11), 2, 11, num_gates=7)
+    tracemalloc.start()
+    try:
+        mpt = jt_materialize(jc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * mpt.graph.adj.nbytes, peak / mpt.graph.adj.nbytes
+
+
+def test_jt_materialize_evaluates_once_per_part_on_singleton_parts(monkeypatch):
+    calls = []
+    real = circuit.eval_circuit_batch
+
+    def counted(c, inputs):
+        calls.append(len(inputs))
+        return real(c, inputs)
+
+    monkeypatch.setattr(circuit, "eval_circuit_batch", counted)
+    jc = random_jtournament_circuit(random.Random(64), 64, 0)
+    mpt = jt_materialize(jc)
+    assert len(calls) <= 63 and sum(calls) == 64 * 63 // 2
+    assert check_tournament(mpt.graph)
+
+
+def test_gw_materialize_matches_gw_edge_across_row_blocks():
+    b = _Builder(20)
+    bits = b.inputs()
+    xs, ys = bits[:10], bits[10:]
+    sg = SuccinctGraph(10, b.finish(b.xor(b.lt(xs, ys), b.and_(xs[2], ys[5]))))
+    g = gw_materialize(sg)
+    rng = random.Random(10)
+    for _ in range(300):
+        x, y = rng.sample(range(1 << 10), 2)
+        assert g.has_edge(x, y) == gw_edge(sg, int_to_bits(x, 10), int_to_bits(y, 10))
+    assert not g.adj.diagonal().any()
 
 
 def test_jt_k_king_examples():

@@ -1,5 +1,6 @@
 import pytest
 
+from kings.bitstrings import int_to_bits
 from kings.cli import main
 from kings.digraph import format_graph_text, parse_graph_text
 from kings.pairing import Pairing, pair
@@ -144,6 +145,17 @@ def test_spec_materialize(tmp_path, capsys):
     code, out, _ = run(capsys, "spec", "materialize", "--spec", "max", "--m", "2",
                        "--dot", str(dot))
     assert code == 0 and "->" in dot.read_text()
+
+
+def test_king_check_reads_a_bit_string_node_as_its_label(tmp_path, capsys):
+    code, out, _ = run(capsys, "spec", "materialize", "--spec", "max", "--m", "4")
+    assert code == 0
+    g = graph_file(tmp_path, out)
+    # the max string beats every other; a digit string no label spells is an id
+    nodes = [(int_to_bits(v, 4), v == 15) for v in range(16)] + [("15", True), ("11", False)]
+    for node, king in nodes:
+        code, out, err = run(capsys, "king", "check", "--graph", g, "--node", node, "--k", "1")
+        assert (code, out, err) == (0 if king else 1, f"{str(king).lower()}\n", ""), node
 
 
 @pytest.mark.parametrize("name", ["pi2", "conp", "np", "kkings:3"])

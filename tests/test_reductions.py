@@ -7,13 +7,12 @@ import pytest
 
 from kings.bitstrings import all_bits, int_to_bits
 from kings.circuit import (
-    gw_check_tournament,
     gw_materialize,
     jt_edge,
     jt_k_king,
     jt_materialize,
 )
-from kings.digraph import all_k_kings, is_k_king
+from kings.digraph import all_k_kings, check_tournament, is_k_king
 from kings.formula import (
     CatalogCodec,
     TTFECodec,
@@ -132,7 +131,7 @@ def test_antenna_instance_shapes_and_kingship():
     f_false = fe("fe:n=1:tt:1000")
     inst = build_gw_antenna_instance(f_true, 2)
     g = gw_materialize(inst.circuit)
-    assert g.num_nodes == 8 and gw_check_tournament(inst.circuit)
+    assert g.num_nodes == 8 and check_tournament(g)
     assert is_k_king(g, int(inst.node, 2), 2)
     inst4 = build_gw_antenna_instance(f_true, 4)
     g4 = gw_materialize(inst4.circuit)
@@ -146,7 +145,7 @@ def test_onekings_examples():
     for bits, want in (("11", True), ("10", False), ("00", False)):
         inst = reduce_taut_to_1king_gw(formula_from_table(1, bits))
         g = gw_materialize(inst.circuit)
-        assert gw_check_tournament(inst.circuit)
+        assert check_tournament(g)
         assert is_k_king(g, int(inst.node, 2), 1) == want == inst.expected
 
 
