@@ -17,7 +17,7 @@ DEFAULT_NODE_CAP = 1 << 13
 
 # Lengths past this are refused before any string of that length, or
 # 2**length, is formed.  A sampled specifier audit of 1,000 pairs still
-# finishes at this length, in tens of seconds on a 2-core host.
+# finishes at this length: 4.6-7.2 s for pi2 on a 2-core host.
 DEFAULT_LENGTH_CAP = 1 << 16
 
 # Exhaustive pair validation refuses more unordered pairs than this.

@@ -35,7 +35,11 @@ def pair(version: Pairing, x: str, y: str) -> str:
 
 def unpair(version: Pairing, s: str) -> Optional[Tuple[str, str]]:
     """Invert :func:`pair` on its range; None when ``s`` is not in range."""
-    check_bits(s)
+    return _unpair(version, check_bits(s))
+
+
+def _unpair(version, s):
+    """:func:`unpair` on a string already checked to be a bit-string."""
     xs = []
     i = 0
     n = len(s)

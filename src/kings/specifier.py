@@ -77,7 +77,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from .bitstrings import all_bits, bits_to_int, check_bits, int_to_bits
+from .bitstrings import all_bits, bits_to_int, check_bits, drawn_pairs, int_to_bits, pair_draws
 from .digraph import ExplicitDigraph, all_k_kings, is_k_king
 from .formula import (
     CatalogCodec,
@@ -96,7 +96,7 @@ from .limits import (
     check_node_cap,
     check_strings_node_cap,
 )
-from .pairing import Pairing, pair, unpair
+from .pairing import Pairing, _unpair, pair
 
 # node classes
 ZERO, MARKER, MEMBER, ANTENNA, OTHER, SPECIAL_A, SPECIAL_B = range(7)
@@ -603,7 +603,7 @@ class WeaveSpecifier(TournamentFamilySpecifier):
                 return _SA_INFO
             if z[0] == "1" and "1" not in z[1:]:
                 return _SB_INFO
-        res = unpair(self.version, z)
+        res = _unpair(self.version, z)  # classify checked z
         if res is None:
             return _OTHER_INFO
         enc, w = res
@@ -969,16 +969,14 @@ def validate_specifier(spec, m: int, sample: Optional[int] = None,
             elif len(matches) > 1 and len(report.guard_overlaps) < _WITNESS_CAP:
                 report.guard_overlaps.append((x, y, tuple(matches)))
         # spot-check the public select against itself on both orders
-        for _ in range(min(2000, count * 4)):
-            _check_select(report, spec, int_to_bits(rng.randrange(count), m),
-                          int_to_bits(rng.randrange(count), m))
+        for x, y in drawn_pairs(rng, m, min(2000, count * 4)):
+            _check_select(report, spec, x, y)
     else:
         if sample is None:
             names = [int_to_bits(v, m) for v in range(count)]
             pair_iter = combinations_with_replacement(names, 2)
         else:
-            pair_iter = ((int_to_bits(rng.randrange(count), m),
-                          int_to_bits(rng.randrange(count), m)) for _ in range(sample))
+            pair_iter = drawn_pairs(rng, m, sample)
         for x, y in pair_iter:
             report.pairs_checked += 1
             _check_select(report, spec, x, y)
@@ -997,32 +995,26 @@ def validate_specifier(spec, m: int, sample: Optional[int] = None,
 
 
 def _core_pairs(rng, count, m, sample, classify):
-    """The distinct drawn pairs with no leftover side, as strings, in draw
-    order.  Each pair draws two ints below count, as the other specifiers'
-    sampled pairs do; a drawn int is formatted and classified once, and
-    only a core string is kept."""
-    def core_name(v):
-        z = int_to_bits(v, m)
-        return z if classify(z).cls != OTHER else ""
-
-    draw = rng.randrange
-    core = {}  # drawn int -> core_name of it
+    """The drawn pairs of two different core strings, as strings, in draw
+    order; a pair drawn twice is listed twice.  Each pair draws two ints
+    below count, as the other specifiers' sampled pairs do.  A first int is
+    classified if its pair has two different ints, a second one if its
+    first is core too, each distinct int once."""
+    core = {}  # drawn int -> is its string core
     pairs = []
-    for _ in range(sample):
-        a = draw(count)
-        b = draw(count)
-        if a == b:
-            continue
-        x = core.get(a)
-        if x is None:
-            x = core[a] = core_name(a)
-        if not x:
-            continue
-        y = core.get(b)
-        if y is None:
-            y = core[b] = core_name(b)
-        if y:
-            pairs.append((x, y))
+    for first, second in pair_draws(rng, count, sample):
+        keep = first != second
+        for side in (first, second):
+            distinct, where = np.unique(side[keep], return_inverse=True)
+            flags = []
+            for v in distinct.tolist():
+                flag = core.get(v)
+                if flag is None:
+                    flag = core[v] = classify(int_to_bits(v, m)).cls != OTHER
+                flags.append(flag)
+            keep[keep] = np.array(flags, dtype=bool)[where]
+        pairs += [(int_to_bits(x, m), int_to_bits(y, m))
+                  for x, y in zip(first[keep].tolist(), second[keep].tolist())]
     return pairs
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from kings import specifier as S
-from kings.bitstrings import all_bits, bits_to_int, check_bits, int_to_bits
+from kings.bitstrings import DRAW_WORDS, all_bits, bits_to_int, check_bits, draws, int_to_bits
 from kings.digraph import ExplicitDigraph, check_tournament, is_k_king, k_king_mask
 from kings.formula import (
     ForallExistsFormula,
@@ -228,6 +228,21 @@ def test_validate_catches_broken_specifier():
     assert report.commutativity_violations
 
 
+def test_sampled_pair_walk_draws_like_randrange():
+    """The non-weave sampled walk records the first drawn pairs of two
+    different strings, so its witnesses pin the draw stream."""
+    spec = _AlwaysFirst()
+    for m, sample in ((3, 50), (12, 9000), (40, 5000)):
+        got = validate_specifier(spec, m, sample=sample, seed=4)
+        want = SpecifierValidation(spec=spec.name, m=m, mode=f"sampled({sample},seed=4)")
+        rng = random.Random(4)
+        for _ in range(sample):
+            want.pairs_checked += 1
+            S._check_select(want, spec, int_to_bits(rng.randrange(1 << m), m),
+                            int_to_bits(rng.randrange(1 << m), m))
+        assert got == want and len(got.commutativity_violations) == 20, m
+
+
 def test_validate_budget():
     # 2**14 strings make 134M pairs against the 2**26 budget: refused at once
     with pytest.raises(CapExceeded):
@@ -341,6 +356,61 @@ def test_sampled_audit_draws_like_the_full_pair_walk(table, monkeypatch):
     assert (witnesses > 0) == (table != "as-is")
 
 
+def test_draws_follow_randrange():
+    """draws batches the words that CPython's randrange(2**m) reads one
+    attempt at a time (Random._randbelow_with_getrandbits: getrandbits(m + 1)
+    until below 2**m).  A Python that draws otherwise fails here."""
+    assert random.Random._randbelow is random.Random._randbelow_with_getrandbits
+    for m in (0, 1, 12, 13, 31, 32, 33, 40, 64, 65, 100):
+        for total in (0, 1, 1001, DRAW_WORDS + 1):
+            want_rng, got_rng = random.Random(m), random.Random(m)
+            want = [want_rng.randrange(1 << m) for _ in range(total)]
+            assert draws(got_rng, 1 << m, total).tolist() == want, (m, total)
+            assert got_rng.getstate() == want_rng.getstate(), (m, total)
+
+
+def _reference_core_pairs(rng, count, m, sample, classify):
+    """The drawn pairs of two different core strings, one pair at a time."""
+    def core_name(v):
+        z = int_to_bits(v, m)
+        return z if classify(z).cls != OTHER else ""
+
+    core = {}  # drawn int -> core_name of it
+    pairs = []
+    for _ in range(sample):
+        a = rng.randrange(count)
+        b = rng.randrange(count)
+        if a == b:
+            continue
+        x = core.get(a)
+        if x is None:
+            x = core[a] = core_name(a)
+        if not x:
+            continue
+        y = core.get(b)
+        if y is None:
+            y = core[b] = core_name(b)
+        if y:
+            pairs.append((x, y))
+    return pairs
+
+
+def test_core_pairs_match_the_pair_loop():
+    repeats = 0
+    for name, m, sample in (("pi2", 10, 5000), ("pi2", 12, 20000), ("pi2", 40, 5000),
+                            ("kkings:3", 13, 30000), ("np", 3, 500)):
+        for seed in (0, 1, 2):
+            want_rng, got_rng = random.Random(seed), random.Random(seed)
+            want = _reference_core_pairs(want_rng, 1 << m, m, sample,
+                                         make_builtin_specifier(name).classify)
+            got = S._core_pairs(got_rng, 1 << m, m, sample,
+                                make_builtin_specifier(name).classify)
+            assert got == want, (name, m, seed)
+            assert got_rng.getstate() == want_rng.getstate(), (name, m, seed)
+            repeats += len(got) - len(set(got))
+    assert repeats > 0  # np m=3 draws its few core pairs many times over
+
+
 def _count_classify(spec):
     """Wrap the instance's ``_classify``; returns the list of strings asked."""
     real = spec._classify
@@ -359,8 +429,9 @@ def test_sampled_audit_classifies_only_drawn_strings():
     calls = _count_classify(spec)
     report = validate_specifier(spec, 40, sample=1000)
     assert report.passed and report.pairs_checked == 1000
-    # the pair draws classify a first string, and a second one only after a
-    # core first; the spot-check classifies both strings of its 2,000 pairs
+    # the pair draws classify each distinct first string of a pair of two
+    # different strings, and a second one only after a core first; the
+    # spot-check classifies both strings of its 2,000 pairs
     assert len(calls) <= 2 * 1000 + 4000
 
 
