@@ -517,7 +517,9 @@ def recognize_jpartite_direct(g: ExplicitDigraph, j: int) -> bool:
     Candidate parts are the connected components of the complement of the
     underlying graph.  Accepts iff there are at most j of them (missing
     parts count as empty), no part spans an edge, and every cross pair is
-    oriented exactly one way.
+    oriented exactly one way.  The last needs no check of its own: a cross
+    pair is adjacent, or the two would share a component, and 2-cycles are
+    refused first.
     """
     if j < 2:
         raise ValueError("j must be at least 2")
@@ -544,14 +546,8 @@ def recognize_jpartite_direct(g: ExplicitDigraph, j: int) -> bool:
         count += 1
     if count > j:
         return False
-    for x in range(n):
-        for y in range(x + 1, n):
-            if part[x] == part[y]:
-                if u[x, y]:
-                    return False
-            elif int(a[x, y]) + int(a[y, x]) != 1:
-                return False
-    return True
+    part = np.array(part)
+    return not (u & (part[:, None] == part)).any()
 
 
 # ---------------------------------------------------------------------------

@@ -402,6 +402,8 @@ class CatalogCodec:
         return fe_from_table(2, self.tables[index])
 
 
+# Every codec decodes totally: a formula when the bits are a code for one,
+# else None.
 FormulaCodec = Union[TTPlainCodec, TTFECodec, CatalogCodec]
 
 _catalog_cache = None
@@ -428,15 +430,6 @@ def codec_by_name(name: str) -> FormulaCodec:
     if name == "catalog":
         return CatalogCodec()
     raise ValueError(f"unknown codec {name!r}")
-
-
-def encode_formula(phi, codec) -> str:
-    return codec.encode(phi)
-
-
-def decode_formula(bits: str, codec):
-    """Total decode: a formula when ``bits`` is a code for one, else None."""
-    return codec.decode(bits)
 
 
 # ---------------------------------------------------------------------------

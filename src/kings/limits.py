@@ -23,7 +23,9 @@ DEFAULT_LENGTH_CAP = 1 << 16
 # Exhaustive pair validation refuses more unordered pairs than this.
 DEFAULT_PAIR_BUDGET = 1 << 26
 
-# Exhaustive associativity checks refuse more triples than this.
+# Exhaustive associativity checks refuse more triples than this.  They hold
+# three one-byte arrays of one entry per triple (the two sides and their
+# mismatch mask): about 6 MB at this budget, which stops at length 7.
 DEFAULT_TRIPLE_BUDGET = 1 << 21
 
 # table_to_circuit refuses to query its Python edge function on more ordered

@@ -70,7 +70,7 @@ from __future__ import annotations
 
 import random
 from functools import lru_cache
-from itertools import combinations, combinations_with_replacement, islice, product
+from itertools import chain, combinations, combinations_with_replacement, islice, product
 from dataclasses import dataclass, field
 from types import MappingProxyType, SimpleNamespace
 from typing import List, Optional
@@ -1059,12 +1059,12 @@ def check_associativity(spec, m: int, sample: Optional[int] = None,
                         seed: int = 0) -> AssociativityReport:
     """Probe f(x, f(y, z)) == f(f(x, y), z) at length m.
 
-    Exhaustive mode proves associativity at that length and then checks the
-    structural consequences: the induced tournament has exactly one 2-king
-    and that king beats every string directly.  Sampled mode draws random
-    triples plus a stratified set built from one representative per node
-    class, which is what finds witnesses in the weave families where pure
-    uniform sampling almost never leaves the leftover class.
+    Exhaustive mode asks ``select`` once per ordered pair for a table of
+    indexes and gathers both sides of every triple from it; the witness is
+    the first mismatch in (x, y, z) order.  A proof is followed by its
+    consequences: one 2-king, which beats every string directly.  Sampled
+    mode draws random triples plus every triple of two representatives per
+    node class, which finds the weave witnesses uniform draws almost miss.
     """
     _check_sample(sample)
     check_length_cap(m)
@@ -1073,49 +1073,48 @@ def check_associativity(spec, m: int, sample: Optional[int] = None,
     report = AssociativityReport(
         spec=spec.name, m=m,
         mode="exhaustive" if sample is None else f"sampled({sample},seed={seed})")
-
-    def triples():
-        if sample is None:
-            total = count ** 3
-            if total > DEFAULT_TRIPLE_BUDGET:
-                raise CapExceeded(
-                    f"{total} triples exceeds the budget {DEFAULT_TRIPLE_BUDGET}")
-            for xv in range(count):
-                x = int_to_bits(xv, m)
-                for yv in range(count):
-                    y = int_to_bits(yv, m)
-                    for zv in range(count):
-                        yield x, y, int_to_bits(zv, m)
-        else:
-            reps = _representatives(spec, m)
-            for x in reps:
-                for y in reps:
-                    for z in reps:
-                        yield x, y, z
-            rng = random.Random(seed)
-            for _ in range(sample):
-                yield (int_to_bits(rng.randrange(count), m),
-                       int_to_bits(rng.randrange(count), m),
-                       int_to_bits(rng.randrange(count), m))
-
-    for x, y, z in triples():
-        report.triples_checked += 1
-        left = sel(x, sel(y, z))
-        right = sel(sel(x, y), z)
-        if left != right:
-            report.witness = (x, y, z, left, right)
-            report.associative = False
-            return report
-    if sample is None:
-        report.associative = True
-        graph = induced_graph(spec, m)
-        kings = sorted(all_k_kings(graph, 2))
-        report.king_count = len(kings)
-        if len(kings) == 1:
-            king = graph.label_of(kings[0])
-            report.king = king
-            report.king_universal = all(
-                sel(y, king) == king for y in all_bits(m))
+    if sample is not None:
+        rng = random.Random(seed)
+        drawn = (tuple(int_to_bits(rng.randrange(count), m) for _ in range(3))
+                 for _ in range(sample))
+        for x, y, z in chain(product(_representatives(spec, m), repeat=3), drawn):
+            report.triples_checked += 1
+            left = sel(x, sel(y, z))
+            right = sel(sel(x, y), z)
+            if left != right:
+                report.witness = (x, y, z, left, right)
+                report.associative = False
+                return report
+        return report
+    total = count ** 3
+    if total > DEFAULT_TRIPLE_BUDGET:
+        raise CapExceeded(f"{total} triples exceeds the budget {DEFAULT_TRIPLE_BUDGET}")
+    names = list(all_bits(m))
+    table = np.empty((count, count), dtype=np.min_scalar_type(count - 1))
+    for i, x in enumerate(names):
+        for j, y in enumerate(names):
+            w = sel(x, y)
+            if w != x and w != y:
+                raise ValueError(f"select({x!r}, {y!r}) = {w!r} is neither argument")
+            table[i, j] = i if w == x else j
+    left = table[:, table]   # left[x, y, z] = f(x, f(y, z))
+    right = table[table]     # right[x, y, z] = f(f(x, y), z)
+    differ = left != right
+    first = int(differ.argmax())
+    if differ.flat[first]:
+        report.triples_checked = first + 1
+        at = np.unravel_index(first, differ.shape) + (left.flat[first], right.flat[first])
+        report.witness = tuple(names[v] for v in at)
+        report.associative = False
+        return report
+    report.triples_checked = total
+    report.associative = True
+    graph = induced_graph(spec, m)
+    kings = sorted(all_k_kings(graph, 2))
+    report.king_count = len(kings)
+    if len(kings) == 1:
+        report.king = graph.label_of(kings[0])
+        report.king_universal = bool((table[:, kings[0]] == kings[0]).all())
     return report
 
 

@@ -186,6 +186,9 @@ def test_spec_validate(capsys):
 def test_spec_assoc(capsys):
     code, out, _ = run(capsys, "spec", "assoc", "--spec", "max", "--m", "4")
     assert code == 0 and "associative=True" in out
+    code, out, _ = run(capsys, "spec", "assoc", "--spec", "max", "--m", "7")
+    assert code == 0
+    assert "associative=True kings=1 king=1111111 universal=True" in out
     code, _, err = run(capsys, "spec", "assoc", "--spec", "max", "--m", "8")
     assert code == 3 and "budget" in err
 

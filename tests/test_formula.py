@@ -12,8 +12,6 @@ from kings.formula import (
     PropFormula,
     TTFECodec,
     TTPlainCodec,
-    decode_formula,
-    encode_formula,
     eval_forall_exists,
     eval_formula,
     formula_from_table,
@@ -335,19 +333,19 @@ def test_syntax_errors_come_before_the_variable_cap():
 # ---------------------------------------------------------------------------
 
 def test_encode_examples():
-    assert encode_formula(parse_formula("x1 | !x1"), TTPlainCodec()) == "11"
-    assert encode_formula(parse_formula_input("fe:n=1:tt:1001"), TTFECodec()) == "1001"
+    assert TTPlainCodec().encode(parse_formula("x1 | !x1")) == "11"
+    assert TTFECodec().encode(parse_formula_input("fe:n=1:tt:1001")) == "1001"
     cat = CatalogCodec()
-    assert encode_formula(cat.entry(0), cat) == "0000"
+    assert cat.encode(cat.entry(0)) == "0000"
 
 
 def test_decode_examples():
-    fe = decode_formula("1001", TTFECodec())
+    fe = TTFECodec().decode("1001")
     assert isinstance(fe, ForallExistsFormula) and fe.n == 1
     assert truth_table_of(fe.matrix) == "1001"
-    assert decode_formula("101", TTFECodec()) is None
-    assert decode_formula("11", TTFECodec()) is None  # length 2 is not a code
-    plain = decode_formula("11", TTPlainCodec())
+    assert TTFECodec().decode("101") is None
+    assert TTFECodec().decode("11") is None  # length 2 is not a code
+    plain = TTPlainCodec().decode("11")
     assert is_tautology(plain)
 
 
@@ -356,7 +354,7 @@ def test_decode_total_on_short_strings():
     for length in range(0, 13):
         for bits in all_bits(length):
             for codec in codecs:
-                decode_formula(bits, codec)  # must not raise
+                codec.decode(bits)  # must not raise
 
 
 def test_codec_roundtrip_preserves_truth_tables():
@@ -366,22 +364,22 @@ def test_codec_roundtrip_preserves_truth_tables():
         for v in range(1 << (1 << n)):
             bits = int_to_bits(v, 1 << n)
             phi = formula_from_table(n, bits)
-            again = decode_formula(encode_formula(phi, plain), plain)
+            again = plain.decode(plain.encode(phi))
             assert truth_table_of(again) == truth_table_of(phi)
     for v in range(16):
         bits = int_to_bits(v, 4)
         fe = ForallExistsFormula(1, formula_from_table(2, bits))
-        again = decode_formula(encode_formula(fe, fe_codec), fe_codec)
+        again = fe_codec.decode(fe_codec.encode(fe))
         assert truth_table_of(again.matrix) == bits
 
 
 def test_codec_wrong_shape_rejected():
     with pytest.raises(CodecError):
-        encode_formula(parse_formula("x1"), TTFECodec())
+        TTFECodec().encode(parse_formula("x1"))
     with pytest.raises(CodecError):
-        encode_formula(parse_formula_input("fe:n=1:tt:1001"), TTPlainCodec())
+        TTPlainCodec().encode(parse_formula_input("fe:n=1:tt:1001"))
     with pytest.raises(CodecError):
-        encode_formula(parse_formula_input("fe:n=1:tt:1001"), CatalogCodec())
+        CatalogCodec().encode(parse_formula_input("fe:n=1:tt:1001"))
 
 
 def test_catalog_contents():
@@ -392,7 +390,7 @@ def test_catalog_contents():
     assert sum(not t for t in truths) >= 4
     # encodings are the 4-bit indexes, so every length-4 string decodes
     for v in range(16):
-        assert decode_formula(int_to_bits(v, 4), cat) is not None
+        assert cat.decode(int_to_bits(v, 4)) is not None
 
 
 def test_equal_length_encodings_per_length():

@@ -1,5 +1,6 @@
 import hashlib
 import random
+import tracemalloc
 from itertools import combinations, combinations_with_replacement
 
 import numpy as np
@@ -7,12 +8,11 @@ import pytest
 
 from kings import specifier as S
 from kings.bitstrings import DRAW_WORDS, all_bits, bits_to_int, check_bits, draws, int_to_bits
-from kings.digraph import ExplicitDigraph, check_tournament, is_k_king, k_king_mask
+from kings.digraph import ExplicitDigraph, all_k_kings, check_tournament, is_k_king, k_king_mask
 from kings.formula import (
     ForallExistsFormula,
     TTFECodec,
     TTPlainCodec,
-    decode_formula,
     formula_from_table,
     parse_formula_input,
 )
@@ -107,7 +107,7 @@ def _reference_category(spec, z):
     if res is None:
         return "other"
     enc, w = res
-    phi = decode_formula(enc, spec.codec)
+    phi = spec.codec.decode(enc)
     if phi is None:
         return "other"
     n = phi.n if isinstance(phi, ForallExistsFormula) else phi.num_vars
@@ -1058,3 +1058,111 @@ def test_pi2_not_associative_witness_found_by_sampling():
 def test_associativity_budget():
     with pytest.raises(CapExceeded):
         check_associativity(max_specifier(), 12)
+
+
+def _triple_loop_associativity(spec, m):
+    """The exhaustive triple loop: ``select`` four times per triple in
+    (x, y, z) order up to the first mismatch, then once per string to ask
+    whether the one 2-king beats it."""
+    report = S.AssociativityReport(spec=spec.name, m=m, mode="exhaustive")
+    sel = spec.select
+    names = list(all_bits(m))
+    for x in names:
+        for y in names:
+            for z in names:
+                report.triples_checked += 1
+                left = sel(x, sel(y, z))
+                right = sel(sel(x, y), z)
+                if left != right:
+                    report.witness = (x, y, z, left, right)
+                    report.associative = False
+                    return report
+    report.associative = True
+    graph = induced_graph(spec, m)
+    kings = sorted(all_k_kings(graph, 2))
+    report.king_count = len(kings)
+    if len(kings) == 1:
+        king = graph.label_of(kings[0])
+        report.king = king
+        report.king_universal = all(sel(y, king) == king for y in names)
+    return report
+
+
+class _RockPaperScissors(TournamentFamilySpecifier):
+    """Commutative and selecting, but not associative from length 2 on:
+    residue r of int(x, 2) mod 3 beats residue r - 1, and within one
+    residue the smaller string wins."""
+    name = "rock-paper-scissors"
+
+    def select(self, x, y):
+        a, b = int("0" + x, 2) % 3, int("0" + y, 2) % 3
+        if a == b:
+            return min(x, y)
+        return x if (a - b) % 3 == 1 else y
+
+
+class _NotSelecting(TournamentFamilySpecifier):
+    name = "not-selecting"
+
+    def select(self, x, y):
+        return x if x == y else "1" * len(x)
+
+
+_BUILTINS = ["max", "pi2", "conp", "np", "kkings:3", "kkings:4"]
+
+
+@pytest.mark.parametrize("name", _BUILTINS)
+def test_associativity_matches_the_triple_loop(name):
+    spec = make_builtin_specifier(name)
+    for m in range(6 if name != "max" else 7):
+        assert check_associativity(spec, m) == _triple_loop_associativity(spec, m), (name, m)
+
+
+def test_associativity_matches_the_triple_loop_on_planted_rules():
+    for m in range(5):
+        got = check_associativity(_AlwaysFirst(), m)
+        assert got == _triple_loop_associativity(_AlwaysFirst(), m), m
+        assert got.associative and got.king == "0" * m and got.king_universal == (m == 0)
+    for m in range(6):
+        got = check_associativity(_RockPaperScissors(), m)
+        assert got == _triple_loop_associativity(_RockPaperScissors(), m), m
+        assert got.associative is (m < 2), m
+    got = check_associativity(_RockPaperScissors(), 2)
+    assert got.triples_checked == 7 and got.witness == ("00", "01", "10", "00", "10")
+    with pytest.raises(ValueError, match="select\\('00', '01'\\)"):
+        check_associativity(_NotSelecting(), 2)
+
+
+def _count_select(spec):
+    """Wrap the instance's ``select``; returns the list of pairs asked."""
+    real = spec.select
+    calls = []
+
+    def counted(x, y):
+        calls.append((x, y))
+        return real(x, y)
+
+    spec.select = counted
+    return calls
+
+
+@pytest.mark.parametrize("name", ["pi2", "np"])
+def test_exhaustive_associativity_asks_select_once_per_ordered_pair(name):
+    # a weave's induced graph goes through its guards, not select, so the
+    # table is all that asks select: pi2 is associative at m=7, np is not
+    spec = make_builtin_specifier(name)
+    calls = _count_select(spec)
+    check_associativity(spec, 7)
+    assert len(calls) == 4 ** 7 == 16384
+    assert len(set(calls)) == len(calls)
+
+
+def test_exhaustive_associativity_memory_at_the_triple_budget():
+    tracemalloc.start()
+    try:
+        rep = check_associativity(max_specifier(), 7)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rep.associative and rep.king == "1111111" and rep.king_universal
+    assert peak <= 8 << 20, peak
