@@ -26,11 +26,12 @@ node.  So when the columns span more than one panel, the walk stops a step
 short.  The rows of a block then read the tables over word 0 (nodes 0 to
 63) first and the other words after, and a row with a column still
 unreached leaves as not a king; a weave's leftover misses node 0 and leaves
-after one word.  A single row reads only its unreached columns, 1, 2, 4,
-... at a time and at most a panel at once, and leaves at the first batch
-its frontier does not cover.  A core node of a weave leaves a few columns
+after one word.  A single source walks in words on the graph's packed
+rows, which the graph keeps: a step ORs the packed rows of its frontier's
+nodes, and the last step reads only the words that hold unreached nodes,
+1, 2, 4, ... at a time.  A core node of a weave leaves a few words
 unreached after one step and a leftover misses node 0, so either costs a
-few columns, not the n columns.
+few words, not the n columns.
 """
 
 from __future__ import annotations
@@ -67,6 +68,7 @@ class ExplicitDigraph:
         """Store adj, which no one else holds, read-only, and the labels."""
         adj.flags.writeable = False
         self._adj = adj
+        self._bits = None
         self._labels = None
         self._label_index = None
         if labels is not None:
@@ -102,6 +104,13 @@ class ExplicitDigraph:
         g = cls.__new__(cls)
         g._own(np.array(matrix, dtype=bool), labels)
         return g
+
+    def _packed_rows(self) -> np.ndarray:
+        """The adjacency rows as from _words, read-only, built once."""
+        if self._bits is None:
+            self._bits = _words(self._adj)
+            self._bits.flags.writeable = False
+        return self._bits
 
     @property
     def num_nodes(self) -> int:
@@ -352,25 +361,6 @@ def _reach_block(adj: np.ndarray, sources, k: int, packed=None) -> np.ndarray:
     return _walk(adj, sources, k, packed)[0]
 
 
-def _covers(adj: np.ndarray, frontier: np.ndarray, cols: np.ndarray, most: int) -> bool:
-    """True iff every column in cols has an edge from a node of frontier, a
-    mask over the nodes.
-
-    The columns are taken in chunks of 1, 2, 4, ..., up to most, and the
-    first chunk with a column no node reaches ends the search, so a miss
-    among the first columns costs a gather of a few columns, not of all of
-    them.
-    """
-    rows = np.flatnonzero(frontier)
-    start, size = 0, 1
-    while start < len(cols):
-        if not adj[np.ix_(rows, cols[start:start + size])].any(axis=0).all():
-            return False
-        start += size
-        size = min(2 * size, most)
-    return True
-
-
 def _reaches_all(packed: _Packed, reach: np.ndarray, frontier: np.ndarray) -> np.ndarray:
     """Entry i is True iff row i of reach, with the nodes one edge beyond
     row i of frontier, holds every node.
@@ -397,27 +387,54 @@ def _reaches_all(packed: _Packed, reach: np.ndarray, frontier: np.ndarray) -> np
     return kings
 
 
-def _king_block(adj: np.ndarray, sources, k: int, packed=None) -> np.ndarray:
-    """Entry i is True iff sources[i] reaches every node within k steps;
-    packed as for _grow.
+def _row_king(bits: np.ndarray, n: int, v: int, k: int) -> bool:
+    """True iff v reaches all n nodes within k >= 2 steps, walking in words
+    on the packed adjacency rows bits (_words); a step gathers at most
+    _OPERAND_BYTES of rows at a time."""
+    reach = ~_words(np.ones((1, n), dtype=bool))[0]  # bits past n - 1 are reached
+    reach[v // 64] |= np.uint64(1 << v % 64)
+    frontier, chunk = bits[v] & ~reach, _OPERAND_BYTES // bits[0].nbytes
+    for _ in range(k - 2):
+        reach |= frontier
+        if not (frontier.any() and (~reach).any()):
+            break
+        nodes = np.flatnonzero(_unpack(frontier[None], n))
+        frontier = np.zeros_like(reach)
+        for start in range(0, len(nodes), chunk):
+            frontier |= np.bitwise_or.reduce(bits[nodes[start:start + chunk]])
+        frontier &= ~reach
+    missing = ~(reach | frontier)
+    nodes = np.flatnonzero(_unpack(frontier[None], n))
+    words, start, size = np.flatnonzero(missing), 0, 1
+    while start < len(words):
+        batch = words[start:start + size]
+        if (missing[batch] & ~np.bitwise_or.reduce(bits[np.ix_(nodes, batch)])).any():
+            return False
+        start += size
+        size = min(2 * size, max(1, _OPERAND_BYTES // (8 * len(nodes))))
+    return True
+
+
+def _king_block(g: ExplicitDigraph, sources, k: int, packed=None) -> np.ndarray:
+    """Entry i is True iff sources[i] reaches every node of g within k
+    steps; packed as for _grow.
 
     With one step, or with every column in one panel, this is the walk's
-    own reach.  Otherwise the walk stops one step short, and the last step
-    asks only whether a row reaches every node: rows of a block through the
-    tables (_reaches_all), and a single row over its unreached columns
-    alone, 1, 2, 4, ... at a time and at most a panel at once (_covers).
+    own reach.  Otherwise a single source walks in words (_row_king), on
+    packed's rows or the graph's, and a block walks one step short and asks
+    the tables only whether each row reaches every node (_reaches_all).
     """
-    n = adj.shape[0]
-    width = _block_size(n)
-    if k == 1 or width == n:
-        return _reach_block(adj, sources, k, packed).all(axis=1)
-    reach, live, frontier = _walk(adj, sources, k - 1, packed)
+    n = g.num_nodes
+    if k == 1 or _block_size(n) == n:
+        return _reach_block(g.adj, sources, k, packed).all(axis=1)
+    if len(sources) == 1:
+        bits = g._packed_rows() if packed is None else packed.bits
+        return np.array([_row_king(bits, n, sources[0], k)])
+    reach, live, frontier = _walk(g.adj, sources, k - 1, packed)
     kings = reach.all(axis=1)
     going = frontier.any(axis=1) & ~kings[live]
     live, frontier = live[going], frontier[going]
-    if len(live) == 1:
-        kings[live] = _covers(adj, frontier[0], np.flatnonzero(~reach[live[0]]), width)
-    elif live.size:
+    if live.size:
         kings[live] = _reaches_all(packed, reach[live], frontier)
     return kings
 
@@ -446,8 +463,7 @@ def k_king_mask(g: ExplicitDigraph, sources, k: int) -> np.ndarray:
     packed = _Packed(g.adj) if k > 1 and len(sources) > 1 else None
     kings = np.zeros(len(sources), dtype=bool)
     for start in range(0, len(sources), block):
-        kings[start:start + block] = _king_block(g.adj, sources[start:start + block], k,
-                                                 packed)
+        kings[start:start + block] = _king_block(g, sources[start:start + block], k, packed)
     return kings
 
 
@@ -456,7 +472,7 @@ def is_k_king(g: ExplicitDigraph, v: int, k: int) -> bool:
     if k < 1:
         raise ValueError("k must be at least 1")
     g._check_node(v)
-    return bool(_king_block(g.adj, np.array([v]), k)[0])
+    return bool(_king_block(g, np.array([v]), k)[0])
 
 
 def all_k_kings(g: ExplicitDigraph, k: int) -> Set[int]:

@@ -1000,19 +1000,22 @@ def _core_pairs(rng, count, m, sample, classify):
     below count, as the other specifiers' sampled pairs do.  A first int is
     classified if its pair has two different ints, a second one if its
     first is core too, each distinct int once."""
-    core = {}  # drawn int -> is its string core
+    # the ints classified so far, ascending, then count, which no draw
+    # reaches; and whether each one's string is core
+    seen, core = np.array([count]), np.zeros(1, dtype=bool)
     pairs = []
     for first, second in pair_draws(rng, count, sample):
         keep = first != second
         for side in (first, second):
             distinct, where = np.unique(side[keep], return_inverse=True)
-            flags = []
-            for v in distinct.tolist():
-                flag = core.get(v)
-                if flag is None:
-                    flag = core[v] = classify(int_to_bits(v, m)).cls != OTHER
-                flags.append(flag)
-            keep[keep] = np.array(flags, dtype=bool)[where]
+            at = np.searchsorted(seen, distinct)
+            fresh = seen[at] != distinct
+            flags = core[at]
+            flags[fresh] = [classify(int_to_bits(v, m)).cls != OTHER
+                            for v in distinct[fresh].tolist()]
+            seen = np.insert(seen, at[fresh], distinct[fresh])
+            core = np.insert(core, at[fresh], flags[fresh])
+            keep[keep] = flags[where]
         pairs += [(int_to_bits(x, m), int_to_bits(y, m))
                   for x, y in zip(first[keep].tolist(), second[keep].tolist())]
     return pairs

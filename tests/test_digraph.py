@@ -122,7 +122,7 @@ def _random_graphs(rng, n):
 
 
 # a small block, so that source blocks and column panels split at the sizes
-# below; BLOCK + 1 leaves a one-row block, which takes the row gather
+# below; BLOCK + 1 leaves a one-row block, which walks in packed words
 BLOCK = 16
 
 
@@ -211,40 +211,40 @@ def last_witness_graph(n, s, unreached, rank, king, rng):
 
 @pytest.mark.parametrize("unreached", [BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5])
 def test_single_row_last_step_over_unreached_columns(monkeypatch, unreached):
-    """A source that leaves fewer, as many or more columns unreached after
-    one step than a panel holds, one of them first, in the middle or last,
-    and reached at step two through the frontier's last node only, or not
-    at all."""
+    """A source that leaves a few or many nodes unreached after one step, one
+    of them first, in the middle or last, and reached at step two through
+    the frontier's last node only, or not at all.  Its last step reads the
+    words that hold unreached nodes in order, 1, 2, 4, ... at a time, and
+    stops at the first batch it does not cover."""
     monkeypatch.setattr(digraph, "_block_size", lambda n: min(n, BLOCK))
-    covered, chunks = [], []
-    real_covers, real_ix = digraph._covers, np.ix_
+    batches, real_ix = [], np.ix_
 
-    def counted(adj, frontier, cols, most):
-        covered.append(len(cols))
-        return real_covers(adj, frontier, cols, most)
+    def batch(rows, words):
+        batches.append(words.tolist())
+        return real_ix(rows, words)
 
-    def chunk(rows, cols):
-        chunks.append(len(cols))
-        return real_ix(rows, cols)
-
-    monkeypatch.setattr(digraph, "_covers", counted)
-    monkeypatch.setattr(digraph.np, "ix_", chunk)
-    n, s = 4 * BLOCK + 3, 2 * BLOCK
+    n, s = 4 * 64 + 3, 2 * BLOCK
     for seed, rank in enumerate((0, unreached // 2, unreached - 1)):
         for king in (True, False):
             g = last_witness_graph(n, s, unreached, rank, king,
                                    np.random.default_rng([unreached, seed]))
-            assert np.count_nonzero(~bfs_reach(g, s, 1)) == unreached
-            assert is_k_king(g, s, 2) == king
+            missing = np.flatnonzero(~bfs_reach(g, s, 1))
+            assert len(missing) == unreached
+            batches.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(digraph.np, "ix_", batch)
+                assert is_k_king(g, s, 2) == king
+            words = np.unique(missing // 64).tolist()
+            read = sum(batches, [])
+            assert read == (words if king else words[:len(read)])
+            assert [len(b) for b in batches] == [
+                min(1 << i, len(words) + 1 - (1 << i)) for i in range(len(batches))]
+            assert king or missing[rank] // 64 in batches[-1]
             for k in (1, 2, 3, 4):
                 want = [bool(bfs_reach(g, v, k).all()) for v in range(n)]
                 full_rows = full_row_kings(g, k)
                 assert full_rows.tolist() == want, (rank, king, k)
                 assert [is_k_king(g, v, k) for v in range(n)] == want, (rank, king, k)
-    # s took the last step over its unreached columns, whatever their
-    # number, and no chunk of them spanned more than a panel
-    assert unreached in covered
-    assert max(chunks) == BLOCK if unreached > 2 * BLOCK else max(chunks) <= BLOCK
 
 
 @pytest.mark.parametrize("k", [2, 3])
@@ -255,6 +255,129 @@ def test_is_k_king_matches_the_mask_on_every_weave_node(k):
     want = k_king_mask(g, range(g.num_nodes), k).tolist()
     assert [is_k_king(g, v, k) for v in range(g.num_nodes)] == want
     assert sum(want) == (49 if k == 2 else 97)
+
+
+
+def assert_one_source_matches_both_oracles(g, sources, ks=(1, 2, 3, 4)):
+    """is_k_king on each source against k_king_mask over the sources and
+    the per-node BFS."""
+    for k in ks:
+        mask = k_king_mask(g, sources, k).tolist()
+        want = [bool(bfs_reach(g, v, k).all()) for v in sources]
+        assert mask == want, k
+        assert [is_k_king(g, v, k) for v in sources] == want, k
+
+
+@pytest.mark.parametrize("n", [725, 1000, 1089, 2049])
+def test_wide_single_source_matches_both_oracles(n):
+    """Past one panel a single source walks in packed words: seeded random
+    tournaments, sparse digraphs whose walks die out and denser ones, at
+    node counts that are a multiple of 64 plus one, or not near one."""
+    assert digraph._block_size(n) < n
+    rng = np.random.default_rng([n, 22])
+    denser = rng.random((n, n)) < 24 / n
+    np.fill_diagonal(denser, False)
+    for g in [*_random_graphs(rng, n), ExplicitDigraph.from_adjacency(denser)]:
+        assert_one_source_matches_both_oracles(g, rng.choice(n, 16, replace=False))
+
+
+@pytest.mark.parametrize("n", [1000, 1089, 2049])
+@pytest.mark.parametrize("where", ["last column", "column 64"])
+def test_wide_single_source_missing_one_column(n, where):
+    """A source that reaches every node within two steps but one, in the
+    last, partial word or first in word 1, which it reaches at step three
+    or, with that edge gone, never."""
+    s, t = n // 2, n - 1 if where == "last column" else 64
+    g = late_column_graph(n, s, t, np.random.default_rng([n, t]))
+    assert np.flatnonzero(~bfs_reach(g, s, 2)).tolist() == [t]
+    assert [is_k_king(g, s, k) for k in (1, 2, 3, 4)] == [False, False, True, True]
+    adj = g.adj.copy()
+    adj[(t + 1) % n, t] = False  # the one edge into t
+    never = ExplicitDigraph.from_adjacency(adj)
+    assert [is_k_king(never, s, k) for k in (1, 2, 3, n)] == [False] * 4
+    for h in (g, never):
+        assert_one_source_matches_both_oracles(h, [s, t, (t + 1) % n, 0])
+
+
+def test_wide_single_source_whose_frontier_empties():
+    """Sources whose frontier empties after one step (every node they beat
+    is a sink) or at once (a sink), and one that beats every other node."""
+    n = 1000
+    rng = np.random.default_rng(23)
+    adj = rng.random((n, n)) < 0.3
+    s, sink, top = 10, 20, 30
+    beaten = [1, 2, 800, 999]
+    adj[s] = False
+    adj[s, beaten] = True
+    adj[beaten] = False
+    adj[sink] = False
+    adj[top] = True
+    np.fill_diagonal(adj, False)
+    g = ExplicitDigraph.from_adjacency(adj)
+    assert [is_k_king(g, v, k) for v in (s, sink) for k in (1, 2, 3, n)] == [False] * 8
+    assert all(is_k_king(g, top, k) for k in (1, 2, 3, n))
+    assert_one_source_matches_both_oracles(g, [s, sink, top, *beaten, 0])
+
+
+def random_tournament(n, seed):
+    up = np.triu(np.random.default_rng(seed).random((n, n)) < 0.5, 1)
+    return ExplicitDigraph.from_adjacency(up | np.triu(~up, 1).T)
+
+
+def test_packed_rows_are_built_once_and_read_only(monkeypatch):
+    built = []
+    real = digraph._words
+
+    def counted(mask, rows=0):
+        built.append(mask.shape)
+        return real(mask, rows)
+
+    monkeypatch.setattr(digraph, "_words", counted)
+    g = random_tournament(800, 24)
+    for v in range(5):
+        for k in (2, 3):
+            is_k_king(g, v, k)
+    assert built.count((800, 800)) == 1
+    bits = g._packed_rows()
+    assert bits is g._packed_rows() and not bits.flags.writeable
+    assert np.array_equal(bits, real(g.adj))
+    with pytest.raises(ValueError):
+        bits[0, 0] = 0
+
+
+def test_packed_rows_only_for_wide_single_sources():
+    """Not on one panel, not for k = 1, and not for many sources, which pack
+    the rows with their tables."""
+    small = random_tournament(724, 25)
+    assert digraph._block_size(724) == 724
+    for k in (1, 2, 3):
+        is_k_king(small, 0, k)
+    assert small._bits is None
+    g = random_tournament(725, 26)
+    is_k_king(g, 0, 1)
+    for k in (1, 2, 3):
+        all_k_kings(g, k)
+        k_king_mask(g, [3, 1, 4, 1, 5], k)
+    assert g._bits is None
+    is_k_king(g, 0, 2)
+    assert g._bits is not None
+
+
+def test_one_source_stays_within_the_operand_budget():
+    """is_k_king at k = 3 on a 4096-node tournament holds the packed rows
+    (2 MiB, twice that while they are built) and one chunk of gathered
+    rows at a time (at most 2 MiB); a bool row a frontier node, at about
+    2,048 frontier nodes, would take 8 MiB."""
+    g = random_tournament(4096, 27)
+    tracemalloc.start()
+    try:
+        kings = [is_k_king(g, v, 3) for v in range(4)]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(kings)
+    assert g._packed_rows().nbytes == 1 << 21
+    assert peak <= 3 * digraph._OPERAND_BYTES, peak / digraph._OPERAND_BYTES
 
 
 def float32_step(adj, frontier):
@@ -398,6 +521,11 @@ def test_huge_k_returns_promptly():
     assert not is_k_king(path, 1, 10 ** 20)
     assert all_k_kings(path, 10 ** 20) == {0}
     assert reach_within(path, 3, 10 ** 20).sum() == n - 3
+    # a single source past one panel, which walks in packed words
+    wide = ExplicitDigraph.from_edges(725, [(i, i + 1) for i in range(724)])
+    assert digraph._block_size(725) < 725
+    assert is_k_king(wide, 0, 10 ** 20)
+    assert not is_k_king(wide, 1, 10 ** 20)
     assert time.perf_counter() - start < 5
 
 

@@ -411,6 +411,28 @@ def test_core_pairs_match_the_pair_loop():
     assert repeats > 0  # np m=3 draws its few core pairs many times over
 
 
+
+@pytest.mark.parametrize("name,m,sample", [("pi2", 12, 20000), ("kkings:3", 13, 30000),
+                                           ("pi2", 40, 5000)])
+def test_core_pairs_classify_each_drawn_int_once(name, m, sample):
+    """One classify call per distinct int the pair loop asks about, across
+    the batches of DRAW_WORDS words as within one."""
+    spec = make_builtin_specifier(name)
+    asked, calls = [], []
+
+    def reference(z):
+        asked.append(z)
+        return spec.classify(z)
+
+    def counted(z):
+        calls.append(z)
+        return spec.classify(z)
+
+    _reference_core_pairs(random.Random(3), 1 << m, m, sample, reference)
+    S._core_pairs(random.Random(3), 1 << m, m, sample, counted)
+    assert len(calls) == len(set(calls))
+    assert sorted(calls) == sorted(asked)
+
 def _count_classify(spec):
     """Wrap the instance's ``_classify``; returns the list of strings asked."""
     real = spec._classify
