@@ -32,6 +32,15 @@ nodes, and the last step reads only the words that hold unreached nodes,
 1, 2, 4, ... at a time.  A core node of a weave leaves a few words
 unreached after one step and a leftover misses node 0, so either costs a
 few words, not the n columns.
+
+Every k-king reaches the node u of least in-degree within k steps, so on
+graphs wider than one panel many sources are first pruned to u's k-step
+in-ball: a walk backwards on the packed rows, in which a node joins the
+next layer iff its row meets the frontier's words.  Only the sources in the
+ball go through the blocks.  In pi2's induced graph at m = 12, u is a core
+node and no leftover reaches the core, so only the 97 core nodes can enter
+the kernel; in a random tournament the ball holds every node after two
+steps, and the walk stops there.
 """
 
 from __future__ import annotations
@@ -391,7 +400,8 @@ def _row_king(bits: np.ndarray, n: int, v: int, k: int) -> bool:
     """True iff v reaches all n nodes within k >= 2 steps, walking in words
     on the packed adjacency rows bits (_words); a step gathers at most
     _OPERAND_BYTES of rows at a time."""
-    reach = ~_words(np.ones((1, n), dtype=bool))[0]  # bits past n - 1 are reached
+    reach = np.zeros(bits.shape[1], dtype=np.uint64)
+    reach[-1] = (1 << 64) - (2 << (n - 1) % 64)  # bits past n - 1 are reached
     reach[v // 64] |= np.uint64(1 << v % 64)
     frontier, chunk = bits[v] & ~reach, _OPERAND_BYTES // bits[0].nbytes
     for _ in range(k - 2):
@@ -413,6 +423,33 @@ def _row_king(bits: np.ndarray, n: int, v: int, k: int) -> bool:
         start += size
         size = min(2 * size, max(1, _OPERAND_BYTES // (8 * len(nodes))))
     return True
+
+
+def _in_ball(bits: np.ndarray, n: int, u: int, k: int) -> np.ndarray:
+    """Boolean mask of the nodes that reach u by a path of length <= k,
+    walking backwards on the packed adjacency rows bits (_words): a node
+    joins the next layer iff its row meets the frontier's words.  Only the
+    frontier's nonzero words are read, at most _OPERAND_BYTES at a time."""
+    ball = np.zeros(n, dtype=bool)
+    ball[u] = True
+    frontier = np.zeros(bits.shape[1], dtype=np.uint64)
+    frontier[u // 64] = np.uint64(1 << u % 64)
+    chunk = max(1, _OPERAND_BYTES // (8 * n))
+    for _ in range(k):
+        words = np.flatnonzero(frontier)
+        layer = np.zeros(n, dtype=bool)
+        for start in range(0, len(words), chunk):
+            batch = words[start:start + chunk]
+            met = bits[:n, batch]
+            met &= frontier[batch]
+            layer |= met.any(axis=1)
+            del met  # before the next chunk is gathered
+        layer &= ~ball
+        ball |= layer
+        if not layer.any() or ball.all():
+            break
+        frontier = _words(layer[None])[0]
+    return ball
 
 
 def _king_block(g: ExplicitDigraph, sources, k: int, packed=None) -> np.ndarray:
@@ -449,7 +486,13 @@ def k_king_mask(g: ExplicitDigraph, sources, k: int) -> np.ndarray:
     """Entry i is True iff sources[i] reaches every node within k steps.
 
     Sources go through the frontier kernel a block at a time, so no
-    len(sources) x n reach matrix is ever held.
+    len(sources) x n reach matrix is ever held.  On a graph wider than one
+    panel, with k >= 2 and two sources or more, only the sources that reach
+    the node u of least in-degree (the smallest such id) within k steps go
+    through the kernel: every k-king reaches u, and the others are not
+    kings.  They are the nodes of u's k-step in-ball, walked backwards on
+    the packed rows, which stops when a layer adds no node or the ball
+    holds every node.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -461,9 +504,15 @@ def k_king_mask(g: ExplicitDigraph, sources, k: int) -> np.ndarray:
     block = _block_size(n)
     # packed once for every step of every block of many rows
     packed = _Packed(g.adj) if k > 1 and len(sources) > 1 else None
+    rows = np.arange(len(sources))
+    if packed is not None and block < n:
+        # in-degrees below the node cap fit in 16 bits
+        u = int(np.argmin(np.add.reduce(g.adj.view(np.uint8), axis=0, dtype=np.uint16)))
+        rows = rows[_in_ball(packed.bits, n, u, k)[sources]]
     kings = np.zeros(len(sources), dtype=bool)
-    for start in range(0, len(sources), block):
-        kings[start:start + block] = _king_block(g, sources[start:start + block], k, packed)
+    for start in range(0, len(rows), block):
+        part = rows[start:start + block]
+        kings[part] = _king_block(g, sources[part], k, packed)
     return kings
 
 

@@ -380,6 +380,95 @@ def test_one_source_stays_within_the_operand_budget():
     assert peak <= 3 * digraph._OPERAND_BYTES, peak / digraph._OPERAND_BYTES
 
 
+def unpruned_kings(g, k):
+    """Oracle: the blocked kernel on every node, with no in-ball prune."""
+    n, packed = g.num_nodes, digraph._Packed(g.adj)
+    block = digraph._block_size(n)
+    return np.concatenate([digraph._king_block(g, np.arange(i, min(i + block, n)), k, packed)
+                           for i in range(0, n, block)])
+
+
+def assert_prune_matches_both_oracles(monkeypatch, g, ks=(2, 3, 4)):
+    """k_king_mask on every node in shuffled order with repeats, and on
+    [3, 1, 4, 1, 5], against the unpruned kernel and the per-node BFS (the
+    node of least in-degree, a sample and some kings).  The sources handed
+    to the kernel are exactly those in the k-step in-ball of the node of
+    least in-degree, by BFS on the reversed graph.  Returns the ball sizes."""
+    n = g.num_nodes
+    assert digraph._block_size(n) < n
+    rng = np.random.default_rng(n)
+    u = int(np.argmin(g.adj.sum(axis=0)))
+    reverse = ExplicitDigraph.from_adjacency(g.adj.T)
+    shuffled = np.concatenate([rng.permutation(n), rng.choice(n, n // 4)])
+    handed, real = [], digraph._king_block
+
+    def counted(g, sources, k, packed=None):
+        handed.extend(sources.tolist())
+        return real(g, sources, k, packed)
+
+    sizes = []
+    for k in ks:
+        kings = unpruned_kings(g, k)
+        ball = bfs_reach(reverse, u, k)
+        handed.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(digraph, "_king_block", counted)
+            assert k_king_mask(g, shuffled, k).tolist() == kings[shuffled].tolist(), k
+        assert sorted(handed) == sorted(shuffled[ball[shuffled]].tolist()), k
+        assert k_king_mask(g, [3, 1, 4, 1, 5], k).tolist() == kings[[3, 1, 4, 1, 5]].tolist()
+        for v in {u, *rng.choice(n, 24).tolist(), *np.flatnonzero(kings)[:8].tolist()}:
+            assert bfs_reach(g, v, k).all() == kings[v], (v, k)
+        sizes.append(int(ball.sum()))
+    return sizes
+
+
+@pytest.mark.parametrize("n", [725, 1000, 2049])
+def test_in_ball_prune_matches_both_oracles(monkeypatch, n):
+    """Past one panel only the sources that reach the node of least
+    in-degree go through the kernel: none is dropped from a seeded
+    tournament; a sparse digraph with no node of in-degree 0 drops some at
+    k = 2; one with such a node, and a dense graph whose one unbeaten node
+    is a king, hand that node alone to the kernel."""
+    rng = np.random.default_rng([n, 23])
+    assert assert_prune_matches_both_oracles(monkeypatch, random_tournament(n, n)) == [n] * 3
+    sparse = rng.random((n, n)) < 24 / n
+    sparse[np.arange(n), (np.arange(n) + 1) % n] = True  # in-degree >= 1
+    np.fill_diagonal(sparse, False)
+    assert assert_prune_matches_both_oracles(monkeypatch, ExplicitDigraph.from_adjacency(sparse))[0] < n
+    sparser = rng.random((n, n)) < 4 / n
+    np.fill_diagonal(sparser, False)
+    assert not sparser.sum(axis=0).all()
+    assert assert_prune_matches_both_oracles(
+        monkeypatch, ExplicitDigraph.from_adjacency(sparser)) == [1] * 3
+    dense = rng.random((n, n)) < 0.3
+    dense[:, n // 2] = False
+    np.fill_diagonal(dense, False)
+    g = ExplicitDigraph.from_adjacency(dense)
+    assert assert_prune_matches_both_oracles(monkeypatch, g) == [1] * 3
+    assert all_k_kings(g, 2) == {n // 2}
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_in_ball_prune_hands_only_core_nodes_to_the_kernel(monkeypatch, k):
+    """pi2 at m = 12: no leftover reaches the core, so at most the 97
+    non-leftover nodes go through the kernel; the mask also matches both
+    oracles at k = 2, 3 and 4."""
+    g = induced_graph(pi2_specifier(), 12)
+    handed, real = [], digraph._king_block
+
+    def counted(g, sources, k, packed=None):
+        handed.append(len(sources))
+        return real(g, sources, k, packed)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(digraph, "_king_block", counted)
+        kings = k_king_mask(g, range(g.num_nodes), k)
+    assert kings.sum() == (49 if k == 2 else 97)
+    assert sum(kings) <= sum(handed) <= 97, handed
+    if k == 3:
+        assert_prune_matches_both_oracles(monkeypatch, g)
+
+
 def float32_step(adj, frontier):
     """Oracle: the nodes one edge beyond each frontier row, by the float32
     product of the frontier with the adjacency that the tables replaced."""
@@ -466,6 +555,18 @@ def test_tables_stay_within_the_operand_budget():
     capped = digraph._Packed(np.broadcast_to(False, (DEFAULT_NODE_CAP,) * 2))
     assert capped.span * 64 == 512 and len(capped.ranges()) == 16
     assert capped._tables(*capped.ranges()[0]).nbytes <= budget
+    # the in-ball walk at the cap: node 0 is beaten by node 64 j for each
+    # word j > 0, so the second step reads 127 words, a quarter at a time
+    bits = capped.bits.copy()
+    bits[64:DEFAULT_NODE_CAP:64, 0] = 1
+    tracemalloc.start()
+    try:
+        ball = digraph._in_ball(bits, DEFAULT_NODE_CAP, 0, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.flatnonzero(ball).tolist() == list(range(0, DEFAULT_NODE_CAP, 64))
+    assert peak <= 1.25 * budget, peak / budget
 
 
 def test_sparse_steps_gather_and_match_both_oracles(monkeypatch):
@@ -526,6 +627,11 @@ def test_huge_k_returns_promptly():
     assert digraph._block_size(725) < 725
     assert is_k_king(wide, 0, 10 ** 20)
     assert not is_k_king(wide, 1, 10 ** 20)
+    # many sources past one panel: node 0's in-ball is itself, and on a
+    # cycle the in-ball walk stops once it holds every node
+    assert all_k_kings(wide, 10 ** 20) == {0}
+    cycle = ExplicitDigraph.from_edges(725, [(i, (i + 1) % 725) for i in range(725)])
+    assert all_k_kings(cycle, 10 ** 20) == set(range(725))
     assert time.perf_counter() - start < 5
 
 
