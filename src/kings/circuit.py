@@ -414,10 +414,13 @@ def _node_bit_matrix(count: int, width: int) -> np.ndarray:
 _QUERY_BYTES = 1 << 22
 
 
-def _pair_matrix(c: BooleanCircuit, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+def _pair_matrix(c: BooleanCircuit, left: np.ndarray, right: np.ndarray,
+                 out: Optional[np.ndarray] = None) -> np.ndarray:
     """Entry (a, b) is the circuit on the query ``left[a] | right[b]``,
-    asked a block of rows at a time within ``_QUERY_BYTES`` of queries."""
-    out = np.empty((len(left), len(right)), dtype=bool)
+    asked a block of rows at a time within ``_QUERY_BYTES`` of queries;
+    written into out if given."""
+    if out is None:
+        out = np.empty((len(left), len(right)), dtype=bool)
     rows = max(1, _QUERY_BYTES // right.size)
     for start in range(0, len(left), rows):
         block = left[start:start + rows, None, :] | right[None, :, :]
@@ -434,7 +437,7 @@ def gw_materialize(sg: SuccinctGraph) -> ExplicitDigraph:
     edges = _pair_matrix(sg.circuit, np.hstack([bits, zeros]), np.hstack([zeros, bits]))
     np.fill_diagonal(edges, False)
     labels = [int_to_bits(i, sg.n) for i in range(1 << sg.n)]
-    return ExplicitDigraph.from_adjacency(edges, labels)
+    return ExplicitDigraph._adopt(edges, labels)
 
 
 def gw_k_king(sg: SuccinctGraph, x: str, k: int) -> bool:
@@ -521,13 +524,12 @@ def jt_materialize(jc: JTournamentCircuit) -> MultipartiteTournament:
     for start in range(0, total - size, size):
         rows = slice(start, start + size)
         later = slice(start + size, total)
-        res = _pair_matrix(jc.circuit, fields[rows], fields[later])
-        adj[rows, later] = res
-        adj[later, rows] = ~res.T
+        res = _pair_matrix(jc.circuit, fields[rows], fields[later], out=adj[rows, later])
+        np.logical_not(res.T, out=adj[later, rows])
     labels = [f"{i}:{int_to_bits(v, jc.n)}" for i in range(1, jc.j + 1)
               for v in range(size)]
     parts = [list(range((i - 1) * size, i * size)) for i in range(1, jc.j + 1)]
-    return MultipartiteTournament(ExplicitDigraph.from_adjacency(adj, labels), parts)
+    return MultipartiteTournament(ExplicitDigraph._adopt(adj, labels), parts)
 
 
 def jt_k_king(jc: JTournamentCircuit, node: Tuple[int, str], k: int) -> bool:

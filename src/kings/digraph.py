@@ -21,6 +21,16 @@ has rows, and table widths follow from the node count under one byte
 budget: the tables span every column up to 2048 nodes, and above that a
 range of columns at a time, built as it is read.
 
+A step needs only the nodes a row has not reached, so the tables' entries
+are read a chunk of groups at a time, and after 1, 2, 4, ... chunks a row
+whose unreached columns are all in its partial OR stops reading: the
+bottom-up step of direction-optimizing BFS (Beamer, Asanovic and
+Patterson, SC 2012).  This is exact.  If the partial OR P covers the row's
+unreached set U, then U <= P <= F for the full OR F, so the row's new
+frontier U & F is U.  Rows never covered read every group, and when the
+groups fit in one chunk no row is tested.  Nearly every node of a random
+tournament is a 2-king, and its rows leave after a few chunks.
+
 Kingship asks less of the last step: only whether a row reaches every
 node.  So when the columns span more than one panel, the walk stops a step
 short.  The rows of a block then read the tables over word 0 (nodes 0 to
@@ -65,6 +75,14 @@ def _check_node_count(num_nodes: int) -> None:
     check_node_cap(num_nodes)
 
 
+def _check_adjacency(matrix: np.ndarray) -> None:
+    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
+        raise ValueError("adjacency must be square")
+    _check_node_count(matrix.shape[0])
+    if matrix.diagonal().any():
+        raise ValueError("self-loops are not allowed")
+
+
 class ExplicitDigraph:
     """Dense-node digraph with optional string labels, kept as a tuple."""
 
@@ -105,13 +123,19 @@ class ExplicitDigraph:
         """The graph with a copy of matrix (nonzero entries are edges) as
         its adjacency; the copy is the one array the graph allocates."""
         matrix = np.asarray(matrix)
-        if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-            raise ValueError("adjacency must be square")
-        _check_node_count(matrix.shape[0])
-        if matrix.diagonal().any():
-            raise ValueError("self-loops are not allowed")
+        _check_adjacency(matrix)
         g = cls.__new__(cls)
         g._own(np.array(matrix, dtype=bool), labels)
+        return g
+
+    @classmethod
+    def _adopt(cls, adj: np.ndarray, labels=None):
+        """The graph whose adjacency is adj, a bool matrix built for it that
+        no one else writes: checked as from_adjacency checks its input, then
+        kept as it is, not copied, and made read-only."""
+        _check_adjacency(adj)
+        g = cls.__new__(cls)
+        g._own(adj, labels)
         return g
 
     def _packed_rows(self) -> np.ndarray:
@@ -262,6 +286,7 @@ class _Packed:
         self.bits = _words(adj, self._rows + 1)
         self.span = max(1, _block_size(n) // 8)
         words = self.bits.shape[1]
+        self.width = min(self.span, words)  # the words of the widest range
         self._whole = self._tables(0, words) if self.span >= words else None
 
     def _tables(self, lo: int, hi: int) -> np.ndarray:
@@ -275,33 +300,78 @@ class _Packed:
                           out=tables[:, 1 << j:2 << j])
         return tables.reshape(-1, hi - lo)
 
-    def ored(self, slots: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    def ored(self, slots: np.ndarray, lo: int, hi: int, unreached=None) -> np.ndarray:
         """Words lo to hi of the nodes one edge beyond each frontier row,
-        from the row's table slots (_slots): the OR of those entries."""
+        from the row's table slots (_slots): the OR of those entries, and
+        of them only the bits of the row's unreached words (all if None).
+
+        The entries are gathered as (groups, rows, words) and reduced over
+        the groups a chunk at a time.  Given unreached, a row whose
+        unreached words its partial OR covers after 1, 2, 4, ... chunks
+        reads no further: its full OR covers them too, so they are its
+        result, exactly.  Rows never covered read every group.
+        """
         tables = self._whole[:, lo:hi] if self._whole is not None else self._tables(lo, hi)
         grown = np.zeros((slots.shape[1], hi - lo), dtype=np.uint64)
-        # gathered as (groups, rows, words) and reduced over the groups, a
-        # chunk of groups at a time; chunks of a quarter of _OPERAND_BYTES
-        # ran about 10% faster than whole ones at n = 2048 (2 MiB L2 a core)
-        chunk = max(1, _OPERAND_BYTES // 4 // grown.nbytes)
-        for start in range(0, len(slots), chunk):
-            grown |= np.bitwise_or.reduce(
-                np.take(tables, slots[start:start + chunk], axis=0), axis=0)
-        return grown
+        start, groups, chunk = 0, len(slots), _chunk(len(grown), hi - lo)
+        if unreached is None or chunk >= groups:
+            due = groups  # no coverage test
+        else:  # coverage is tested after 1, 2, 4, ... chunks of the widest range
+            due = _chunk(len(grown), self.width)
+        if unreached is not None:
+            # a row that leaves early keeps its unreached words as its result
+            out, rows = unreached.copy(), np.arange(len(grown))
+        while start < groups:
+            stop = min(start + chunk, due)
+            grown |= np.bitwise_or.reduce(np.take(tables, slots[:stop - start], axis=0), axis=0)
+            slots, start = slots[stop - start:], stop  # the groups still to read
+            if start == due < groups:
+                due *= 2
+                left = ~_covered(unreached, grown)
+                if not left.all():
+                    rows, grown, unreached = rows[left], grown[left], unreached[left]
+                    if not rows.size:
+                        return out
+                    slots = slots[:, left]
+                    chunk = _chunk(len(grown), hi - lo)
+        if unreached is None:
+            return grown
+        out[rows] = grown & unreached
+        return out
 
-    def grown(self, frontier: np.ndarray) -> np.ndarray:
+    def grown(self, frontier: np.ndarray, unreached: np.ndarray) -> np.ndarray:
         """Nodes one edge beyond each row of the frontier matrix, through
-        the tables."""
+        the tables, that the row of unreached holds.  unreached is packed
+        for ored only where a range takes more than one chunk of groups, so
+        a small graph makes no coverage test."""
         slots = _slots(frontier)
         words = np.empty((len(frontier), self.bits.shape[1]), dtype=np.uint64)
+        missing = _words(unreached) if _chunk(len(frontier), self.width) < len(slots) else None
         for lo, hi in self.ranges():
-            words[:, lo:hi] = self.ored(slots, lo, hi)
-        return _unpack(words, frontier.shape[1])
+            words[:, lo:hi] = self.ored(slots, lo, hi,
+                                        None if missing is None else missing[:, lo:hi])
+        grown = _unpack(words, frontier.shape[1])
+        if missing is None:
+            grown &= unreached
+        return grown
 
     def ranges(self):
         """(lo, hi) word ranges of at most span words, over every word."""
         words = self.bits.shape[1]
         return [(lo, min(lo + self.span, words)) for lo in range(0, words, self.span)]
+
+
+def _chunk(rows: int, words: int) -> int:
+    """Table groups that _Packed.ored gathers at once for rows frontier
+    rows over a range of words: chunks of a quarter of _OPERAND_BYTES ran
+    about 10% faster than whole ones at n = 2048 (2 MiB L2 a core)."""
+    return max(1, _OPERAND_BYTES // (32 * rows * words))
+
+
+def _covered(unreached: np.ndarray, grown: np.ndarray) -> np.ndarray:
+    """Entry i is True iff row i of grown holds every bit of row i of
+    unreached (two word matrices of one shape)."""
+    return ~(unreached & ~grown).any(axis=1)
 
 
 def _gathered(bits: np.ndarray, frontier: np.ndarray):
@@ -322,13 +392,19 @@ def _gathered(bits: np.ndarray, frontier: np.ndarray):
     return _unpack(words, frontier.shape[1])
 
 
-def _grow(adj: np.ndarray, frontier: np.ndarray, packed: Optional[_Packed]) -> np.ndarray:
-    """Nodes one edge beyond each row of the frontier matrix; packed, from
-    adj, is needed for two rows or more."""
+def _grow(adj: np.ndarray, frontier: np.ndarray, reach: np.ndarray,
+          packed: Optional[_Packed]) -> np.ndarray:
+    """Nodes one edge beyond each row of the frontier matrix that the row
+    of reach does not hold; packed, from adj, is needed for two rows or
+    more."""
     if len(frontier) == 1:
-        return adj[frontier[0]].any(axis=0, keepdims=True)
-    grown = _gathered(packed.bits, frontier)
-    return grown if grown is not None else packed.grown(frontier)
+        grown = adj[frontier[0]].any(axis=0, keepdims=True)
+    else:
+        grown = _gathered(packed.bits, frontier)
+        if grown is None:
+            return packed.grown(frontier, ~reach)
+    grown &= ~reach
+    return grown
 
 
 def _walk(adj: np.ndarray, sources, k: int, packed: Optional[_Packed] = None):
@@ -357,8 +433,7 @@ def _walk(adj: np.ndarray, sources, k: int, packed: Optional[_Packed] = None):
             live, reach, frontier = live[keep], reach[keep], frontier[keep]
             if not live.size:
                 return done, live, frontier
-        frontier = _grow(adj, frontier, packed)
-        frontier &= ~reach
+        frontier = _grow(adj, frontier, reach, packed)
         reach |= frontier
     if reach is not done:
         done[live] = reach
@@ -377,7 +452,8 @@ def _reaches_all(packed: _Packed, reach: np.ndarray, frontier: np.ndarray) -> np
     A sparse frontier gathers whole rows.  Otherwise the tables are read
     word 0 first, then the other words a table range at a time, and a row
     leaves at the first range with a column it misses.  A weave's leftover
-    misses node 0, so it leaves after one word.
+    misses node 0, so it leaves after one word.  A row stops reading a
+    range once its missing columns there are covered (_Packed.ored).
     """
     grown = _gathered(packed.bits, frontier)
     if grown is not None:
@@ -386,11 +462,12 @@ def _reaches_all(packed: _Packed, reach: np.ndarray, frontier: np.ndarray) -> np
     slots = _slots(frontier)
     rows = np.arange(len(reach))
     for lo, hi in [(0, 1), *packed.ranges()]:
-        hit = ~(missing[:, lo:hi] & ~packed.ored(slots, lo, hi)).any(axis=1)
+        hit = _covered(missing[:, lo:hi], packed.ored(slots, lo, hi, missing[:, lo:hi]))
         if not hit.all():
             rows, missing, slots = rows[hit], missing[hit], slots[:, hit]
             if not rows.size:
                 break
+        missing[:, lo:hi] = 0  # covered: word 0 need not be covered again
     kings = np.zeros(len(reach), dtype=bool)
     kings[rows] = True
     return kings

@@ -318,7 +318,7 @@ def build_subtournament(kind: str, phi) -> ExplicitDigraph:
     adj = fixed.copy()
     adj[winners, losers] = won
     adj[losers, winners] = ~won
-    return ExplicitDigraph.from_adjacency(adj, labels=suffixes)
+    return ExplicitDigraph._adopt(adj, labels=suffixes)
 
 
 # ---------------------------------------------------------------------------
@@ -837,14 +837,8 @@ def induced_graph(spec, m: int) -> ExplicitDigraph:
     count = 1 << m
     names = [int_to_bits(v, m) for v in range(count)]
     if isinstance(spec, WeaveSpecifier):
-        core = spec._core_tournament(m)
-        ids = np.array([bits_to_int(z) for z in core.labels], dtype=np.intp)
         order = np.arange(count)
-        adj = order[:, None] < order[None, :]  # g17: the smaller leftover wins
-        adj[ids, :] = True
-        adj[:, ids] = False
-        adj[np.ix_(ids, ids)] = core.adj
-        return ExplicitDigraph.from_adjacency(adj, labels=names)
+        return ExplicitDigraph._adopt(_weave_entries(spec, m, order, order), labels=names)
     rows = [bytearray(count) for _ in range(count)]
     sel = spec.select
     for i in range(count):
@@ -857,6 +851,38 @@ def induced_graph(spec, m: int) -> ExplicitDigraph:
                 rows[j][i] = 1
     adj = np.frombuffer(b"".join(rows), dtype=np.uint8).reshape(count, count)
     return ExplicitDigraph.from_adjacency(adj, labels=names)
+
+
+def _weave_entries(spec: WeaveSpecifier, m: int, rows: np.ndarray,
+                   cols: np.ndarray) -> np.ndarray:
+    """Entry (a, b) is True iff string rows[a] beats string cols[b] (both
+    given by value) in the weave's induced tournament at length m: core
+    pairs as in the core tournament, a core string beats every leftover,
+    and of two leftovers the smaller string wins."""
+    core = spec._core_tournament(m)
+    at = np.full(1 << m, -1, dtype=np.intp)  # each string's core index, or -1
+    at[[bits_to_int(z) for z in core.labels]] = np.arange(core.num_nodes)
+    r, c = at[rows], at[cols]
+    entries = rows[:, None] < cols[None, :]  # g17: the smaller leftover wins
+    entries[r >= 0, :] = True
+    entries[:, c >= 0] = False
+    r_core, c_core = np.flatnonzero(r >= 0), np.flatnonzero(c >= 0)
+    entries[np.ix_(r_core, c_core)] = core.adj[np.ix_(r[r_core], c[c_core])]
+    return entries
+
+
+def _weave_mismatches(a: WeaveSpecifier, b: WeaveSpecifier, m: int) -> int:
+    """Half the number of entries in which the length-m induced adjacencies
+    of weaves a and b differ, without either whole matrix: two leftovers of
+    both follow one rule in both weaves, so only the rows and columns of
+    the strings in either core can differ."""
+    ids = np.union1d(*[[bits_to_int(z) for z in spec._core_tournament(m).labels]
+                       for spec in (a, b)])
+    every = np.arange(1 << m)
+    rest = np.setdiff1d(every, ids)
+    rows = _weave_entries(a, m, ids, every) != _weave_entries(b, m, ids, every)
+    cols = _weave_entries(a, m, rest, ids) != _weave_entries(b, m, rest, ids)
+    return int(rows.sum() + cols.sum()) // 2
 
 
 def specifier_k_king(spec: TournamentFamilySpecifier, z: str, k: int) -> bool:

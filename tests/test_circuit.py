@@ -411,6 +411,21 @@ def test_jt_materialize_holds_few_queries():
     assert peak <= 3 * mpt.graph.adj.nbytes, peak / mpt.graph.adj.nbytes
 
 
+def test_jt_materialize_adopts_its_matrix():
+    """j=2, n=11: the graph keeps the matrix jt_materialize builds, so the
+    peak is one adjacency (16 MiB) plus a block of queries and one part
+    block, not two adjacencies (36.8 MiB when the graph copied it)."""
+    jc = random_jtournament_circuit(random.Random(11), 2, 11, num_gates=7)
+    tracemalloc.start()
+    try:
+        mpt = jt_materialize(jc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert mpt.graph.adj.nbytes == 1 << 24
+    assert peak <= 1.6 * mpt.graph.adj.nbytes, peak / mpt.graph.adj.nbytes
+
+
 def test_jt_materialize_evaluates_once_per_part_on_singleton_parts(monkeypatch):
     calls = []
     real = circuit.eval_circuit_batch

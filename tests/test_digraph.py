@@ -516,7 +516,8 @@ def test_packed_tables_match_the_product(monkeypatch, n, split):
         for row in frontier:
             row[rng.choice(n, count, replace=False)] = True
         want = float32_step(adj, frontier)
-        assert packed.grown(frontier).tolist() == want.tolist(), count
+        everything = np.ones_like(frontier)
+        assert packed.grown(frontier, everything).tolist() == want.tolist(), count
         # the even rows miss one unbeaten column, in any word
         reach = ~want
         for row, col in enumerate(rng.choice(unbeaten, len(reach))):
@@ -529,6 +530,143 @@ def test_packed_tables_match_the_product(monkeypatch, n, split):
         want = [bfs_reach(g, v, k).tolist() for v in range(n)]
         assert digraph._reach_block(g.adj, sources, k, packed).tolist() == want, k
         assert k_king_mask(g, sources, k).tolist() == [all(row) for row in want], k
+
+
+@pytest.mark.parametrize("layout", ["one range", "split"])
+@pytest.mark.parametrize("n", [725, 1000, 2049])
+def test_early_stop_matches_the_product(monkeypatch, n, layout):
+    """grown(frontier, unreached) and ored on unreached words, bit for bit
+    against the float32 product ANDed with unreached, on rows covered by
+    their first group, rows never covered, rows with nothing unreached and
+    rows with everything unreached; the tables span every word, or eight
+    words a range.  Coverage is tested, and rows leave early."""
+    span = n if layout == "one range" else 64
+    monkeypatch.setattr(digraph, "_block_size", lambda n: min(n, span))
+    tested, real = [], digraph._covered
+
+    def counted(unreached, grown):
+        covered = real(unreached, grown)
+        tested.append(int(covered.sum()))
+        return covered
+
+    monkeypatch.setattr(digraph, "_covered", counted)
+    rng = np.random.default_rng([n, 24])
+    adj = rng.random((n, n)) < 0.3
+    np.fill_diagonal(adj, False)
+    unbeaten = rng.choice(n, 8, replace=False)
+    adj[:, unbeaten] = False
+    packed = digraph._Packed(adj)
+    assert len(packed.ranges()) == (1 if layout == "one range" else -(-n // 512))
+    rows = 16
+    frontier = rng.random((4 * rows, n)) < 0.5
+    frontier[:rows, :4] = True  # group 0 covers what these rows miss
+    unreached = np.zeros_like(frontier)
+    unreached[:rows] = adj[:4].any(axis=0) & (rng.random((rows, n)) < 0.5)
+    unreached[rows:2 * rows] = rng.random((rows, n)) < 0.5
+    unreached[rows:2 * rows, rng.choice(unbeaten, rows)] = True  # never covered
+    unreached[3 * rows:] = True  # rows 2 * rows to 3 * rows: nothing unreached
+    want = float32_step(adj, frontier) & unreached
+    assert packed.grown(frontier, unreached).tolist() == want.tolist()
+    slots, missing = digraph._slots(frontier), digraph._words(unreached)
+    words = digraph._words(want)
+    for lo, hi in packed.ranges():
+        got = packed.ored(slots, lo, hi, missing[:, lo:hi])
+        assert got.tolist() == words[:, lo:hi].tolist(), (lo, hi)
+    everything = packed.grown(frontier, np.ones_like(frontier))
+    assert everything.tolist() == float32_step(adj, frontier).tolist()
+    assert tested and max(tested) >= 2 * rows, tested
+
+
+def layered_tournament(n, seed):
+    """A random tournament in which node 0 beats only node 1 and node 1
+    only node 2, so that walks from them take several steps."""
+    up = np.triu(np.random.default_rng(seed).random((n, n)) < 0.5, 1)
+    up[0, 2:] = up[1, 3:] = False
+    up[0, 1] = up[1, 2] = True
+    return ExplicitDigraph.from_adjacency(up | np.triu(~up, 1).T)
+
+
+@pytest.mark.parametrize("n", [725, 2049])
+def test_walk_frontier_matches_bfs_layers(n):
+    """_walk's reach, live rows and frontier at every depth against the BFS
+    layers: a row is live after k steps iff at each earlier step it grew
+    and had not reached every node, and its frontier is its k-th layer."""
+    g = layered_tournament(n, n)
+    rng = np.random.default_rng([n, 24])
+    sources = np.concatenate([[0, 1, 2], rng.choice(n, 250 if n > 1000 else n, replace=False)])
+    reach = [[bfs_reach(g, v, k) for k in range(6)] for v in sources]
+    packed = digraph._Packed(g.adj)
+    for k in range(6):
+        got, live, frontier = digraph._walk(g.adj, sources, k, packed)
+        assert got.tolist() == [r[k].tolist() for r in reach], k
+        want = [i for i, r in enumerate(reach)
+                if all((r[j] != r[j - 1]).any() and not r[j].all() for j in range(1, k))]
+        assert live.tolist() == want, k
+        layers = [(r[k] & ~r[k - 1]).tolist() if k else r[0].tolist() for r in reach]
+        assert frontier.tolist() == [layers[i] for i in want], k
+        if k == 4:  # node 0 alone reaches its last nodes at step four
+            assert set(sources[live].tolist()) == {0}
+    assert not live.size
+
+
+def test_early_stop_reads_under_a_quarter_of_the_groups(monkeypatch):
+    """k_king_mask over a 1,000-node random tournament at k = 2: nearly
+    every node is a 2-king, and the tables' reads stop once its unreached
+    columns are covered, so fewer than a quarter of the table entries that
+    the rows' slots name are read."""
+    n = 1000
+    g = random_tournament(n, 24)
+    read, named = [], []
+
+    class Counted(np.ndarray):
+        def take(self, indices, axis=None, **kwargs):
+            read.append(np.size(indices))
+            return np.asarray(self).take(indices, axis=axis, **kwargs)
+
+    real_init, real_ored = digraph._Packed.__init__, digraph._Packed.ored
+
+    def init(self, adj):
+        real_init(self, adj)
+        self._whole = self._whole.view(Counted)
+
+    def ored(self, slots, lo, hi, unreached=None):
+        named.append(slots.size)
+        return real_ored(self, slots, lo, hi, unreached)
+
+    monkeypatch.setattr(digraph._Packed, "__init__", init)
+    monkeypatch.setattr(digraph._Packed, "ored", ored)
+    kings = k_king_mask(g, range(n), 2)
+    assert kings.tolist() == [bool(bfs_reach(g, v, 2).all()) for v in range(n)]
+    assert kings.sum() > n - 10
+    assert named and 4 * sum(read) < sum(named), (sum(read), sum(named))
+
+
+def test_small_graph_makes_no_coverage_test(monkeypatch):
+    """On six nodes every table step is one chunk: no coverage test is
+    made, and no unreached words are packed, only the adjacency."""
+    packs = []
+    real = digraph._words
+
+    def counted(mask, rows=0):
+        packs.append(mask.shape)
+        return real(mask, rows)
+
+    def refused(unreached, grown):
+        raise AssertionError("coverage tested")
+
+    monkeypatch.setattr(digraph, "_covered", refused)
+    monkeypatch.setattr(digraph, "_words", counted)
+    rng = np.random.default_rng(24)
+    cycle = ExplicitDigraph.from_edges(6, [(i, (i + 1) % 6) for i in range(6)])
+    graphs = [random_tournament(6, 24), cycle]
+    graphs += [ExplicitDigraph.from_adjacency((rng.random((6, 6)) < p) & ~np.eye(6, dtype=bool))
+               for p in (0.2, 0.5, 0.8)]
+    for g in graphs:
+        for k in range(2, 6):
+            packs.clear()
+            want = [bool(bfs_reach(g, v, k).all()) for v in range(6)]
+            assert k_king_mask(g, range(6), k).tolist() == want, k
+            assert packs == [(6, 6)], packs
 
 
 def test_tables_stay_within_the_operand_budget():
@@ -879,6 +1017,22 @@ def test_from_adjacency_copies_its_input():
     g = ExplicitDigraph.from_adjacency(source)
     source[0, 1] = True  # the caller's array stays writable and apart
     assert not g.has_edge(0, 1) and not np.shares_memory(g.adj, source)
+
+
+def test_adopt_keeps_a_fresh_matrix_and_checks_it():
+    """The private constructor for freshly built matrices keeps the array
+    itself, read-only, after the checks from_adjacency makes."""
+    fresh = np.zeros((3, 3), dtype=bool)
+    fresh[0, 1] = True
+    g = ExplicitDigraph._adopt(fresh, list("abc"))
+    assert g.adj is fresh and not fresh.flags.writeable
+    assert g.has_edge(0, 1) and g.node_index("c") == 2
+    with pytest.raises(ValueError, match="square"):
+        ExplicitDigraph._adopt(np.zeros((2, 3), dtype=bool))
+    with pytest.raises(ValueError, match="self-loops"):
+        ExplicitDigraph._adopt(np.eye(2, dtype=bool))
+    with pytest.raises(CapExceeded):
+        ExplicitDigraph._adopt(np.broadcast_to(False, (DEFAULT_NODE_CAP + 1,) * 2))
 
 
 def test_adjacency_is_read_only():

@@ -36,9 +36,12 @@ from kings.reductions import (
     verify_suite,
 )
 from kings.specifier import (
+    _weave_mismatches,
     build_subtournament,
     conp_specifier,
+    induced_graph,
     kkings_specifier,
+    make_builtin_specifier,
     np_specifier,
     pi2_specifier,
 )
@@ -376,6 +379,21 @@ def test_lift_k_circuit_matches_its_adjacency():
 # ---------------------------------------------------------------------------
 # suites
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("a, b, m, count", [
+    ("kkings:2:ttfe", "pi2", 12, 0),
+    ("pi2", "conp", 12, None),
+    ("conp", "np", 8, None),
+    ("np", "conp", 9, None),
+])
+def test_weave_mismatches_match_the_whole_matrices(a, b, m, count):
+    """The mismatch count of two weaves from their cores' rows and columns
+    against the count over both whole induced adjacencies."""
+    a, b = make_builtin_specifier(a), make_builtin_specifier(b)
+    whole = int((induced_graph(a, m).adj != induced_graph(b, m).adj).sum()) // 2
+    assert _weave_mismatches(a, b, m) == whole
+    assert whole == count if count is not None else whole > 0
+
 
 def test_verify_suite_smoke():
     report = verify_suite("claim2.2:n=1")
